@@ -1,50 +1,106 @@
-"""Vectorized (numpy) kernels for bulk rank computation over GF(q).
+"""Vectorized (numpy) rank kernels over GF(q) and the chunked scans built on them.
 
-Two elimination engines: a digit-array engine for any supported prime q, and
-a bit-packed engine for q=2 used by the large covering-radius scans.  Both
-process the rows of many matrices in lockstep, keeping one pivot row per
-leading column and per sample.
+rank_words is the one rank entry point for scans over many vectors of
+GF(q^m)^n.  It eliminates the m x n expansions of a batch in lockstep,
+keeping one pivot row per leading column and per sample: on base-q digit
+arrays for odd q, and on bitmask rows for q = 2.  Scans feed it CHUNK
+vectors at a time from vector_chunks, so their peak memory does not grow
+with the ambient size.
+
+Vectors are encoded either as (N, n) arrays of element encodings or packed
+into one integer sum_j x_j * order^j.  In both forms the base-q digits are
+the coordinates over GF(q), so add and sub work digit-wise on either.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
+CHUNK = 1 << 16       # vectors per kernel call in every scan
+CACHE_SIZE = 8        # tables kept per builder; a guard-sized rank table is 16 MB
 
+# The cached tables are shared by every caller, so they are made read-only.
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def digits_table(field):
     """(order, m) uint8 array: base-q digits of every element encoding."""
-    try:
-        return field._digits_np
-    except AttributeError:
-        pass
     xs = np.arange(field.order, dtype=np.int64)
     arr = np.empty((field.order, field.m), dtype=np.uint8)
     for i in range(field.m):
         arr[:, i] = xs % field.q
         xs //= field.q
-    field._digits_np = arr
+    arr.flags.writeable = False
     return arr
 
 
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def mul_lut(field, c):
     """(order,) int64 lookup array for multiplication by the constant c."""
-    try:
-        cache = field._mul_luts
-    except AttributeError:
-        cache = field._mul_luts = {}
-    if c not in cache:
-        cache[c] = np.array([field.mul(c, x) for x in range(field.order)],
-                            dtype=np.int64)
-    return cache[c]
+    lut = np.array([field.mul(c, x) for x in range(field.order)],
+                   dtype=np.int64)
+    lut.flags.writeable = False
+    return lut
+
+
+def _digitwise(q, a, b, sign):
+    """a + sign * b digit by digit in base q, until both run out of digits."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64),
+                               np.asarray(b, dtype=np.int64))
+    out = np.zeros(a.shape, dtype=np.int64)
+    scale = 1
+    while a.any() or b.any():
+        out += (a + sign * b) % q * scale
+        a, b, scale = a // q, b // q, scale * q
+    return out
+
+
+def add(field, a, b):
+    """Elementwise a + b on integer arrays of encodings (xor at q=2)."""
+    return a ^ b if field.q == 2 else _digitwise(field.q, a, b, 1)
+
+
+def sub(field, a, b):
+    """Elementwise a - b on integer arrays of encodings (xor at q=2)."""
+    return a ^ b if field.q == 2 else _digitwise(field.q, a, b, -1)
+
+
+def vector_chunks(field, k, G=None):
+    """Every vector x of GF(q^m)^k in odometer order, CHUNK at a time.
+
+    Vector v has coordinates x_i = (v // order^i) mod order.  Yields (N, k)
+    int64 arrays of encodings, or with a (k, n) integer array G the (N, n)
+    products x G: the codewords of messages x, or the syndromes of vectors
+    x when G is a transposed parity-check matrix.
+    """
+    total = field.order ** k
+    scale = field.order ** np.arange(k, dtype=np.int64)
+    luts = {} if G is None else {(i, j): mul_lut(field, int(g))
+                                 for (i, j), g in np.ndenumerate(G) if g}
+    for start in range(0, total, CHUNK):
+        idx = np.arange(start, min(start + CHUNK, total), dtype=np.int64)
+        xs = idx[:, None] // scale % field.order
+        if G is None:
+            yield xs
+            continue
+        out = np.zeros((len(idx), G.shape[1]), dtype=np.int64)
+        for (i, j), lut in luts.items():
+            out[:, j] = add(field, out[:, j], lut[xs[:, i]])
+        yield out
 
 
 def rank_digit_mats(q, mats):
-    """Ranks of N matrices over GF(q); mats is (N, m, n) with entries in [0, q)."""
-    mats = np.asarray(mats, dtype=np.int64)
+    """Ranks of N matrices over GF(q); mats is (N, m, n) with entries in [0, q).
+
+    Works in uint8: every intermediate is at most (q-1) + (q-1)^2 < 256.
+    """
+    mats = np.asarray(mats, dtype=np.uint8)
     nmat, m, n = mats.shape
-    inv = np.zeros(q, dtype=np.int64)
+    inv = np.zeros(q, dtype=np.uint8)
     for v in range(1, q):
         inv[v] = pow(v, -1, q)
-    piv = np.zeros((n, nmat, n), dtype=np.int64)
+    piv = np.zeros((n, nmat, n), dtype=np.uint8)
     has = np.zeros((n, nmat), dtype=bool)
     ranks = np.zeros(nmat, dtype=np.uint8)
     for r in range(m):
@@ -53,7 +109,7 @@ def rank_digit_mats(q, mats):
             f = cur[:, c]
             mask = (f != 0) & has[c]
             if mask.any():
-                cur[mask] = (cur[mask] - f[mask, None] * piv[c][mask]) % q
+                cur[mask] = (cur[mask] + (q - f[mask, None]) * piv[c][mask]) % q
         nz = cur.any(axis=1)
         if not nz.any():
             continue
@@ -65,30 +121,6 @@ def rank_digit_mats(q, mats):
         has[lead, idx] = True
         ranks[idx] += 1
     return ranks
-
-
-def rank_words(field, words):
-    """Rank weights of N vectors given as an (N, n) array of element encodings."""
-    words = np.asarray(words, dtype=np.int64)
-    dt = digits_table(field)
-    mats = dt[words].transpose(0, 2, 1)  # (N, m, n)
-    return rank_digit_mats(field.q, mats)
-
-
-def bit_rows_gf2(m, n, xs):
-    """(N, m) uint32 bitmask rows of the m x n expansions of q=2 encodings.
-
-    Encoding bit j*m + i is digit i of coordinate j, i.e. entry (i, j) of the
-    expansion; row i packs entries (i, 0..n-1) into an n-bit mask.
-    """
-    xs = np.asarray(xs, dtype=np.int64)
-    rows = np.zeros((len(xs), m), dtype=np.uint32)
-    for i in range(m):
-        acc = np.zeros(len(xs), dtype=np.uint32)
-        for j in range(n):
-            acc |= ((xs >> (j * m + i)) & 1).astype(np.uint32) << np.uint32(j)
-        rows[:, i] = acc
-    return rows
 
 
 def rank_bits_gf2(rows, n):
@@ -118,15 +150,22 @@ def rank_bits_gf2(rows, n):
     return ranks
 
 
-_rank_table_cache = {}
+def rank_words(field, words):
+    """Rank weights of N vectors given as an (N, n) array of element encodings."""
+    words = np.asarray(words, dtype=np.int64)
+    if field.q == 2:
+        # a q=2 encoding is the bitmask of its column of the m x n
+        # expansion, and rank(A) = rank(A^T): rank the n columns as rows
+        return rank_bits_gf2(words.astype(np.uint32), field.m)
+    mats = digits_table(field)[words].transpose(0, 2, 1)  # (N, m, n)
+    return rank_digit_mats(field.q, mats)
 
 
-def rank_table_gf2(field, n):
-    """uint8 table of rank weights for every encoding of GF(2^m)^n."""
-    assert field.q == 2
-    key = (field.m, field.modulus, n)
-    if key not in _rank_table_cache:
-        total = 1 << (field.m * n)
-        xs = np.arange(total, dtype=np.int64)
-        _rank_table_cache[key] = rank_bits_gf2(bit_rows_gf2(field.m, n, xs), n)
-    return _rank_table_cache[key]
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def rank_table(field, n):
+    """uint8 rank weights of every vector of GF(q^m)^n, indexed by its
+    packed encoding sum_j x_j * order^j."""
+    table = np.concatenate([rank_words(field, xs)
+                            for xs in vector_chunks(field, n)])
+    table.flags.writeable = False
+    return table

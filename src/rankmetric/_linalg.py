@@ -93,6 +93,17 @@ def rank_field(field, rows):
     return len(rref_field(field, rows)[0])
 
 
+def lincomb(field, coeffs, rows, n):
+    """sum_i coeffs[i] * rows[i] over GF(q^m), as a tuple of n encodings."""
+    vec = [0] * n
+    for c, row in zip(coeffs, rows):
+        if c:
+            for j, b in enumerate(row):
+                if b:
+                    vec[j] = field.add(vec[j], field.mul(c, b))
+    return tuple(vec)
+
+
 def solve_field(field, rows, rhs):
     """Coefficients x with sum_i x_i * rows[i] = rhs over GF(q^m), or None.
 
@@ -110,10 +121,6 @@ def solve_field(field, rows, rhs):
             return None
         x[p] = row[nrows]
     # Verify (guards against inconsistency hidden past the last pivot).
-    for j in range(ncols):
-        acc = 0
-        for i in range(nrows):
-            acc = field.add(acc, field.mul(x[i], rows[i][j]))
-        if acc != rhs[j]:
-            return None
+    if lincomb(field, x, rows, ncols) != tuple(rhs):
+        return None
     return x

@@ -82,6 +82,15 @@ def parse_ints(text):
     return tuple(int(t) for t in text.replace(",", " ").split())
 
 
+def parse_vector(field, text):
+    """Encodings of a vector over field; each must lie in [0, q^m)."""
+    vec = parse_ints(text)
+    for x in vec:
+        if not 0 <= x < field.order:
+            raise ValueError(f"encoding {x} outside GF({field.q}^{field.m})")
+    return vec
+
+
 def emit_json(cfg, payload):
     print(json.dumps({"config": cfg.as_dict(), **payload}, sort_keys=True))
 
@@ -121,9 +130,9 @@ def cmd_field(args):
 
 def cmd_rank(args):
     F = _field_from_args(args)
-    vec = parse_ints(args.vec)
+    vec = parse_vector(F, args.vec)
     if args.vec2 is not None:
-        vec2 = parse_ints(args.vec2)
+        vec2 = parse_vector(F, args.vec2)
         if len(vec2) != len(vec):
             raise ValueError("vectors of different lengths")
         print(rg.rank_distance(F, vec, vec2))
@@ -215,7 +224,7 @@ def cmd_code(args):
 def cmd_gabidulin(args):
     F = make_field(args.q, args.m)
     if args.g:
-        g = parse_ints(args.g)
+        g = parse_vector(F, args.g)
     else:
         g = tuple(F.q ** i for i in range(args.n))  # polynomial basis slice
     code = cd.gabidulin(F, g, args.k, args.a)
@@ -714,7 +723,6 @@ def build_parser():
                    choices=("all",) + tuple(SUITES))
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int)
     p.set_defaults(func=cmd_verify)
 
     return top

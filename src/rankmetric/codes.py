@@ -3,13 +3,12 @@
 A LinearCode is a generator matrix over GF(q^m); a Codebook is an explicit
 codeword set (the transpose and field-embedding constructions need not stay
 linear over their new ambient field, so they return Codebooks).  Exhaustive
-quantities (rank distribution, minimum distance, covering radius) run on
-vectorized bit-packed kernels when q = 2 and fall back to exact scalar
-arithmetic otherwise; both paths are guarded by an enumeration cap.
+quantities (rank distribution, minimum distance, covering radius) stream
+codewords or ambient vectors in fixed-size chunks through the vectorized
+rank kernel of _batch, for every q, and are guarded by an enumeration cap.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -42,26 +41,11 @@ class LinearCode:
 
     def encode(self, msg):
         """Codeword for a message of k encodings: sum_i msg_i * G_i."""
-        F = self.field
-        word = [0] * self.n
-        for c, row in zip(msg, self.G):
-            if c:
-                for j, g in enumerate(row):
-                    if g:
-                        word[j] = F.add(word[j], F.mul(c, g))
-        return tuple(word)
+        return _linalg.lincomb(self.field, msg, self.G, self.n)
 
     def contains(self, word):
         """Membership via the parity checks H . word = 0."""
-        F = self.field
-        for h in dual(self).G:
-            acc = 0
-            for a, b in zip(h, word):
-                if a and b:
-                    acc = F.add(acc, F.mul(a, b))
-            if acc:
-                return False
-        return True
+        return all(dot(self.field, h, word) == 0 for h in dual(self).G)
 
     def __repr__(self):
         return (f"LinearCode(q={self.field.q}, m={self.field.m}, "
@@ -132,30 +116,21 @@ def codewords(code):
     if isinstance(code, Codebook):
         yield from code.words
         return
-    F = code.field
     if code.size > BRUTE_GUARD:
         raise ValueError(f"codebook size {code.size} exceeds guard")
-    for w in range(code.size):
-        msg = [(w // F.order ** i) % F.order for i in range(code.k)]
-        yield code.encode(msg)
+    for words in _word_chunks(code):
+        yield from map(tuple, words.tolist())
 
 
-def _packed_words_gf2(code):
-    """(size,) int64 array of bit-packed codewords (q = 2 only)."""
-    F = code.field
-    m = F.m
+def _word_chunks(code):
+    """(N, n) arrays of all codewords, _batch.CHUNK at a time; linear codes
+    in message-odometer order."""
     if isinstance(code, Codebook):
-        return np.array(
-            [sum(x << (j * m) for j, x in enumerate(w)) for w in code.words],
-            dtype=np.int64)
-    msgs = np.arange(code.size, dtype=np.int64)
-    packed = np.zeros(code.size, dtype=np.int64)
-    for i in range(code.k):
-        sym = (msgs >> (i * m)) & (F.order - 1)
-        for j, g in enumerate(code.G[i]):
-            if g:
-                packed ^= _batch.mul_lut(F, g)[sym] << (j * m)
-    return packed
+        words = np.array(code.words, dtype=np.int64)
+        return (words[i:i + _batch.CHUNK]
+                for i in range(0, len(words), _batch.CHUNK))
+    G = np.array(code.G, dtype=np.int64).reshape(code.k, code.n)
+    return _batch.vector_chunks(code.field, code.k, G)
 
 
 def rank_distribution(code):
@@ -163,23 +138,18 @@ def rank_distribution(code):
     F, n = code.field, code.n
     if code.size > BRUTE_GUARD:
         raise ValueError(f"codebook size {code.size} exceeds guard")
-    if F.q == 2:
-        packed = _packed_words_gf2(code)
-        ranks = _batch.rank_bits_gf2(_batch.bit_rows_gf2(F.m, n, packed), n)
-        counts = np.bincount(ranks, minlength=n + 1)
-        return tuple(int(c) for c in counts[:n + 1])
-    counts = [0] * (n + 1)
-    for w in codewords(code):
-        counts[rank(F, w)] += 1
-    return tuple(counts)
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for words in _word_chunks(code):
+        counts += np.bincount(_batch.rank_words(F, words), minlength=n + 1)
+    return tuple(int(c) for c in counts)
 
 
 def min_rank_distance(code):
     """Minimum rank distance over distinct codeword pairs.
 
     For a linear code this is the minimum nonzero codeword rank; a Codebook
-    is scanned pairwise.  Codes with fewer than two words have no pairs and
-    return None.
+    ranks the differences from each codeword to the later ones in one batch.
+    Codes with fewer than two words have no pairs and return None.
     """
     if isinstance(code, LinearCode):
         if code.k == 0:
@@ -189,14 +159,13 @@ def min_rank_distance(code):
     if code.size < 2:
         return None
     F = code.field
-    best = None
-    for i, u in enumerate(code.words):
-        for v in code.words[i + 1:]:
-            d = rank(F, tuple(F.sub(a, b) for a, b in zip(u, v)))
-            if best is None or d < best:
-                best = d
-                if best == 1:
-                    return 1
+    words = np.array(code.words, dtype=np.int64)
+    best = code.n
+    for i in range(len(words) - 1):
+        diffs = _batch.sub(F, words[i + 1:], words[i])
+        best = min(best, int(_batch.rank_words(F, diffs).min()))
+        if best == 1:
+            break
     return best
 
 
@@ -240,11 +209,7 @@ def dual(code):
 
 
 def dot(field, u, v):
-    acc = 0
-    for a, b in zip(u, v):
-        if a and b:
-            acc = field.add(acc, field.mul(a, b))
-    return acc
+    return _linalg.lincomb(field, u, [(b,) for b in v], 1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -254,55 +219,44 @@ def dot(field, u, v):
 def covering_radius(code):
     """max over the ambient space of the rank distance to the code, exact.
 
-    q = 2 linear codes use a vectorized syndrome scan (coset-leader weights);
-    q = 2 codebooks use translated rank-table lookups; other fields fall back
-    to scalar enumeration.  Guarded by the ambient size q^{mn}.
+    Linear codes scan the ambient once and keep the least rank in each
+    syndrome class (the coset-leader weights); codebooks look up the rank
+    of x - c for every codeword c in the rank table.  Guarded by the
+    ambient size q^{mn}.
     """
     F, n = code.field, code.n
     ambient = F.order ** n
     if ambient > BRUTE_GUARD:
         raise ValueError(f"ambient size {ambient} exceeds guard")
-    if F.q == 2:
-        if isinstance(code, LinearCode):
-            return _covering_radius_gf2_linear(code)
-        return _covering_radius_gf2_book(code)
-    words = list(codewords(code))
-    best = 0
-    for x in itertools.product(range(F.order), repeat=n):
-        d = min(rank(F, tuple(F.sub(a, b) for a, b in zip(x, c)))
-                for c in words)
-        best = max(best, d)
-    return best
-
-
-def _covering_radius_gf2_linear(code):
-    F, n = code.field, code.n
-    m = F.m
-    ranks = _batch.rank_table_gf2(F, n)
+    if isinstance(code, Codebook):
+        return _covering_radius_book(code)
     H = dual(code).G
     if not H:  # k = n: the whole space covers itself
         return 0
-    xs = np.arange(1 << (m * n), dtype=np.int64)
-    key = np.zeros(len(xs), dtype=np.int64)
-    for r, row in enumerate(H):
-        acc = np.zeros(len(xs), dtype=np.int64)
-        for j, h in enumerate(row):
-            if h:
-                acc ^= _batch.mul_lut(F, h)[(xs >> (j * m)) & (F.order - 1)]
-        key |= acc << (r * m)
-    minw = np.full(1 << (m * len(H)), 255, dtype=np.uint8)
-    np.minimum.at(minw, key, ranks)
+    ranks = _batch.rank_table(F, n)
+    HT = np.array(H, dtype=np.int64).T
+    scale = F.order ** np.arange(len(H), dtype=np.int64)
+    minw = np.full(F.order ** len(H), 255, dtype=np.uint8)
+    for i, syn in enumerate(_batch.vector_chunks(F, n, HT)):
+        chunk = ranks[i * _batch.CHUNK:(i + 1) * _batch.CHUNK]
+        np.minimum.at(minw, syn @ scale, chunk)
     return int(minw.max())
 
 
-def _covering_radius_gf2_book(code):
+def _covering_radius_book(code):
     F, n = code.field, code.n
-    ranks = _batch.rank_table_gf2(F, n)
-    xs = np.arange(1 << (F.m * n), dtype=np.int64)
-    best = np.full(len(xs), 255, dtype=np.uint8)
-    for p in _packed_words_gf2(code):
-        np.minimum(best, ranks[xs ^ p], out=best)
-    return int(best.max())
+    ranks = _batch.rank_table(F, n)
+    words = np.array(code.words, dtype=np.int64) @ \
+        F.order ** np.arange(n, dtype=np.int64)
+    best = 0
+    for start in range(0, ranks.size, _batch.CHUNK):
+        xs = np.arange(start, min(start + _batch.CHUNK, ranks.size),
+                       dtype=np.int64)
+        near = np.full(len(xs), 255, dtype=np.uint8)
+        for c in words:
+            np.minimum(near, ranks[_batch.sub(F, xs, c)], out=near)
+        best = max(best, int(near.max()))
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +387,8 @@ def format_code(code):
 def parse_code(text):
     lines = [ln for ln in text.splitlines()
              if ln.strip() and not ln.lstrip().startswith("#")]
+    if not lines:
+        raise ValueError("code file has no header line")
     head = list(map(int, lines[0].split()))
     if len(head) < 4:
         raise ValueError("header needs q m n k [modulus]")

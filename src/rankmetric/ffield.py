@@ -43,6 +43,20 @@ def _poly_rem(num, den, q):
     return num
 
 
+def _prime_factors(x):
+    """The distinct primes dividing x, by trial division."""
+    out, p = [], 2
+    while p * p <= x:
+        if x % p == 0:
+            out.append(p)
+            while x % p == 0:
+                x //= p
+        p += 1
+    if x > 1:
+        out.append(x)
+    return out
+
+
 @functools.cache
 def is_irreducible(coeffs, q):
     """Irreducibility over GF(q) by trial division (monic input expected)."""
@@ -129,23 +143,18 @@ class Field:
             self._log = [-1, 0]
             self.generator = 1
             return
-        for g in range(2, order):
-            exp = [1]
-            x = 1
-            for _ in range(order - 2):
-                x = self._mul_raw(x, g)
-                if x == 1:
-                    break
-                exp.append(x)
-            else:
-                self._exp = exp
-                log = [-1] * order
-                for i, v in enumerate(exp):
-                    log[v] = i
-                self._log = log
-                self.generator = g
-                return
-        raise AssertionError("no generator found")  # unreachable
+        # g is primitive iff g^((order-1)/p) != 1 for every prime p | order-1;
+        # the first such g is the generator, then one walk fills the tables
+        cofactors = [(order - 1) // p for p in _prime_factors(order - 1)]
+        g = next(g for g in range(2, order)
+                 if all(self.pow(g, e) != 1 for e in cofactors))
+        exp = [1]
+        for _ in range(order - 2):
+            exp.append(self._mul_raw(g, exp[-1]))  # the short g drives the loop
+        log = [-1] * order
+        for i, v in enumerate(exp):
+            log[v] = i
+        self._exp, self._log, self.generator = exp, log, g
 
     # -- encoding ------------------------------------------------------------
 

@@ -8,8 +8,8 @@ returned, is exact; a search that would blow its budget raises
 InconclusiveSearch instead of guessing.
 
 Vectors in GF(q^m)^n are encoded as integers sum_i c_i * (q^m)^i, the same
-odometer convention the code enumerators use; for q = 2 the encoding of a
-difference is just the xor of encodings.
+odometer convention the code enumerators use, and rank weights come from
+one table indexed by that encoding (_batch.rank_table).
 """
 from __future__ import annotations
 
@@ -58,24 +58,24 @@ def _decode(order, n, v):
     return tuple((v // order ** i) % order for i in range(n))
 
 
-def _vec_add(field, n, v, o):
-    """Encoding of the coordinatewise sum of two encoded vectors."""
-    if field.q == 2:
-        return v ^ o
-    B, out, scale = field.order, 0, 1
-    for _ in range(n):
-        out += field.add(v % B, o % B) * scale
-        v, o, scale = v // B, o // B, scale * B
-    return out
-
-
 def _ball_offsets(field, n, rho):
-    """Encodings of every vector of rank at most rho (a ball around 0)."""
-    if field.q == 2:
-        tab = _batch.rank_table_gf2(field, n)
-        return [int(v) for v in (tab <= rho).nonzero()[0]]
-    return [v for v in range(field.order ** n)
-            if rank(field, _decode(field.order, n, v)) <= rho]
+    """Encodings of every vector of rank at most rho (the ball around 0)."""
+    return np.flatnonzero(_batch.rank_table(field, n) <= rho)
+
+
+def _balls(field, offsets, centers):
+    """Rank balls around the centers, CHUNK entries at a time: rows of
+    encodings c + o, one row per center c, one column per offset o."""
+    centers = np.asarray(centers, dtype=np.int64)
+    step = max(1, _batch.CHUNK // len(offsets))
+    for i in range(0, len(centers), step):
+        yield _batch.add(field, centers[i:i + step, None], offsets)
+
+
+def _bitmask(flags):
+    """Integer with bit i set where flags[i] is true."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(),
+                          "little")
 
 
 def _check_params(q, m, n, rho):
@@ -124,10 +124,9 @@ def exhaustive_min_covering(q, m, n, rho, K, budget=DEFAULT_BUDGET):
 
     def ball(c):
         if c not in masks:
-            acc = 0
-            for o in offsets:
-                acc |= 1 << _vec_add(F, n, c, o)
-            masks[c] = acc
+            flags = np.zeros(Q, dtype=bool)
+            flags[next(_balls(F, offsets, [c]))] = True
+            masks[c] = _bitmask(flags)
         return masks[c]
 
     nodes = 0
@@ -146,7 +145,8 @@ def exhaustive_min_covering(q, m, n, rho, K, budget=DEFAULT_BUDGET):
         if (K - depth) * V < remaining:
             return False
         u = (~covered & full).bit_length() - 1  # an uncovered vector
-        cands = sorted({_vec_add(F, n, u, o) for o in offsets},
+        # the centers covering u are the members of the ball around u
+        cands = sorted(_bits(ball(u)),
                        key=lambda c: (-(ball(c) & ~covered).bit_count(), c))
         for c in cands:
             chosen.append(c)
@@ -171,38 +171,20 @@ def greedy_covering(q, m, n, rho, budget=DEFAULT_BUDGET):
     if Q > budget.max_space:
         raise InconclusiveSearch(f"ambient size {Q} exceeds budget")
 
+    # gains[c] counts the uncovered vectors in the ball around c; covering
+    # u lowers the gain of every center in the ball around u by one
     offsets = _ball_offsets(F, n, rho)
+    unc = np.ones(Q, dtype=bool)
+    gains = np.full(Q, len(offsets), dtype=np.int64)
     centers = []
-    if F.q == 2:
-        unc = np.ones(Q, dtype=bool)
-        idx = np.arange(Q)
-        while unc.any():
-            gains = np.zeros(Q, dtype=np.int64)
-            for o in offsets:
-                gains += unc[idx ^ o]
-            c = int(gains.argmax())  # argmax takes the first, smallest index
-            centers.append(c)
-            unc[[c ^ o for o in offsets]] = False
-    else:
-        covered, fullmask = 0, (1 << Q) - 1
-        ball_cache = {}
-
-        def ball(c):
-            if c not in ball_cache:
-                acc = 0
-                for o in offsets:
-                    acc |= 1 << _vec_add(F, n, c, o)
-                ball_cache[c] = acc
-            return ball_cache[c]
-
-        while covered != fullmask:
-            best_c, best_gain = None, -1
-            for c in range(Q):
-                gain = (ball(c) & ~covered).bit_count()
-                if gain > best_gain:
-                    best_c, best_gain = c, gain
-            centers.append(best_c)
-            covered |= ball(best_c)
+    while unc.any():
+        c = int(gains.argmax())  # argmax takes the first, smallest index
+        centers.append(c)
+        ball = next(_balls(F, offsets, [c]))[0]
+        new = ball[unc[ball]]
+        unc[new] = False
+        for near in _balls(F, offsets, new):
+            np.subtract.at(gains, near.ravel(), 1)
 
     words = [_decode(F.order, n, c) for c in centers]
     if not is_covering(q, m, n, words, rho):
@@ -226,27 +208,10 @@ def max_code_search(q, m, n, d, budget=DEFAULT_BUDGET):
     if Q > budget.clique_space:
         raise InconclusiveSearch(f"ambient size {Q} exceeds clique budget")
 
-    if F.q == 2:
-        tab = _batch.rank_table_gf2(F, n)
-        wt = lambda v: int(tab[v])
-        dist = lambda u, v: int(tab[u ^ v])
-    else:
-        table = [rank(F, _decode(F.order, n, v)) for v in range(Q)]
-        wt = lambda v: table[v]
-
-        def dist(u, v):
-            a = _decode(F.order, n, u)
-            b = _decode(F.order, n, v)
-            return rank(F, tuple(F.sub(x, y) for x, y in zip(a, b)))
-
-    verts = [v for v in range(1, Q) if wt(v) >= d]
-    adj = []
-    for i, u in enumerate(verts):
-        mask = 0
-        for j, v in enumerate(verts):
-            if i != j and dist(u, v) >= d:
-                mask |= 1 << j
-        adj.append(mask)
+    tab = _batch.rank_table(F, n)
+    verts = np.flatnonzero(tab >= d)  # the zero vector has rank 0 < d
+    far = tab[_batch.sub(F, verts[:, None], verts)] >= d
+    adj = [_bitmask(row) for row in far]  # the diagonal has distance 0
 
     best = 0
     nodes = 0
@@ -269,7 +234,7 @@ def max_code_search(q, m, n, d, budget=DEFAULT_BUDGET):
             P &= ~bit
             X |= bit
 
-    bk(0, (1 << len(verts)) - 1 if verts else 0, 0)
+    bk(0, (1 << len(adj)) - 1, 0)
     return best + 1  # the pinned zero vector
 
 

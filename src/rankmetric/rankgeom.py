@@ -193,13 +193,7 @@ class Els:
         if field.q != self.q:
             raise ValueError("field/ELS base mismatch")
         for coeffs in itertools.product(field.elements(), repeat=self.dim):
-            vec = [0] * self.n
-            for c, row in zip(coeffs, self.basis):
-                if c:
-                    for j, b in enumerate(row):
-                        if b:
-                            vec[j] = field.add(vec[j], field.mul(c, b))
-            yield tuple(vec)
+            yield _linalg.lincomb(field, coeffs, self.basis, self.n)
 
     def __repr__(self):
         return f"Els(q={self.q}, n={self.n}, dim={self.dim}, basis={self.basis})"
@@ -281,18 +275,9 @@ def project(field, u, els_a, els_b):
     coeffs = _linalg.solve_field(field, rows, list(u))
     if coeffs is None:
         raise ValueError("u does not lie in A + B")
-    a = els_a.dim
-
-    def combine(cs, basis):
-        vec = [0] * len(u)
-        for c, row in zip(cs, basis):
-            if c:
-                for j, b in enumerate(row):
-                    if b:
-                        vec[j] = field.add(vec[j], field.mul(c, b))
-        return tuple(vec)
-
-    return combine(coeffs[:a], els_a.basis), combine(coeffs[a:], els_b.basis)
+    a, n = els_a.dim, len(u)
+    return (_linalg.lincomb(field, coeffs[:a], els_a.basis, n),
+            _linalg.lincomb(field, coeffs[a:], els_b.basis, n))
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,20 @@ def test_rank_examples(run):
     assert (rc, out) == (0, "1\n")
 
 
+def test_rank_rejects_out_of_range_encoding(run):
+    rc, out, err = run("rank", "--q", "2", "--m", "3", "--vec", "1 2 99")
+    assert (rc, out) == (1, "")
+    assert "error: encoding 99 outside GF(2^3)" in err
+
+
+def test_code_rejects_empty_file(run, tmp_path):
+    path = tmp_path / "empty.txt"
+    path.write_text("# only a comment\n\n")
+    rc, out, err = run("code", "--file", str(path))
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_field_and_ball_json(run):
     rc, out, _ = run("field", "--q", "2", "--m", "3", "--format", "json")
     data = json.loads(out)

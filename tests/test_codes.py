@@ -1,7 +1,7 @@
 """Tests for code construction, duality, and brute-force evaluation.
 
 Every closed-form or structural claim is checked against independent
-enumeration: scalar rank computations oracle the vectorized q=2 kernels,
+enumeration: scalar rank computations oracle the vectorized rank kernel,
 and covering radii are recomputed by a direct python double loop.
 """
 import itertools
@@ -161,11 +161,13 @@ def test_covering_radius_trivial():
     F8 = make_field(2, 3)
     assert cd.covering_radius(cd.make_zero_code(F8, 3)) == 3
     F9 = make_field(3, 2)
-    assert cd.covering_radius(cd.make_zero_code(F9, 2)) == 2  # scalar path
+    assert cd.covering_radius(cd.make_zero_code(F9, 2)) == 2  # odd q
 
 
 @pytest.mark.parametrize("q,m,n,k", [(2, 2, 2, 1), (2, 2, 3, 1),
-                                     (2, 3, 2, 1), (2, 3, 3, 2)])
+                                     (2, 3, 2, 1), (2, 3, 3, 2),
+                                     (3, 2, 2, 1), (3, 1, 3, 1),
+                                     (5, 1, 2, 1)])
 def test_covering_radius_paths_agree(q, m, n, k):
     """Syndrome scan, translated-table scan, and the direct python loop all
     compute the same covering radius."""
@@ -175,6 +177,23 @@ def test_covering_radius_paths_agree(q, m, n, k):
         book = cd.make_codebook(F, cd.codewords(C))
         assert cd.covering_radius(book) == rho
         assert brute_covering_radius(C) == rho
+
+
+@pytest.mark.parametrize("as_book", [False, True])
+def test_distribution_past_word_packing_limits(as_book):
+    """Long words: m * n = 72 bits (past one int64) and n = 40 coordinates
+    (past one uint32 bit row) are ranked exactly."""
+    F = make_field(2, 9)
+    C = cd.gabidulin(F, F.polynomial_basis()[:8], 1)
+    F1 = make_field(2, 1)
+    D = cd.make_code(F1, [(0,) * 39 + (1,)])
+    if as_book:
+        C = cd.make_codebook(F, cd.codewords(C))
+        D = cd.make_codebook(F1, cd.codewords(D))
+    assert cd.rank_distribution(C) == (1, 0, 0, 0, 0, 0, 0, 0, 511)
+    assert cd.rank_distribution(D) == (1, 1) + (0,) * 39
+    assert cd.min_rank_distance(C) == 8
+    assert cd.min_rank_distance(D) == 1
 
 
 def test_covering_radius_guard():

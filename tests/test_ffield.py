@@ -155,6 +155,15 @@ def test_gf2_16_table_vs_schoolbook(a, b):
     assert F.mul(a, b) == F._mul_raw(a, b)
 
 
+@pytest.mark.parametrize("q,m,generator", [(2, 16, 3), (3, 8, 38), (3, 10, 34)])
+def test_generator_is_smallest_primitive(q, m, generator):
+    """Tables and encodings depend on the generator; it stays the smallest
+    primitive encoding."""
+    F = make_field(q, m)
+    assert F.generator == generator == F._exp[1]
+    assert len(set(F._exp)) == F.order - 1
+
+
 def test_large_field_no_tables():
     F = make_field(2, 20)
     assert F._log is None

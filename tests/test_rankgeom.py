@@ -153,7 +153,7 @@ def test_rank_examples_gf4():
 def packed_rank_table(m, n):
     """Rank of every GF(2^m)^n vector, indexed by the packed bit encoding."""
     F = make_field(2, m)
-    return F, _batch.rank_table_gf2(F, n)
+    return F, _batch.rank_table(F, n)
 
 
 @pytest.mark.parametrize("m,n", [(1, 2), (2, 2), (2, 3), (3, 2), (3, 3)])
@@ -453,12 +453,13 @@ def test_batch_rank_digit_mats_matches_elimination(q):
     assert list(got) == want
 
 
-def test_rank_table_gf2_full_agreement():
-    F = make_field(2, 3)
-    table = _batch.rank_table_gf2(F, 2)
-    for x in range(8):
-        for y in range(8):
-            assert table[x | (y << 3)] == rg.rank(F, (x, y))
+@pytest.mark.parametrize("q", [2, 3])
+def test_rank_table_full_agreement(q):
+    F = make_field(q, 3)
+    table = _batch.rank_table(F, 2)
+    for x in range(F.order):
+        for y in range(F.order):
+            assert table[x + y * F.order] == rg.rank(F, (x, y))
 
 
 def test_batch_lut_helpers():
