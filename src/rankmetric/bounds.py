@@ -11,19 +11,18 @@ bound A_R, dimension bounds for linear covering codes, and the asymptotic
 rate formulas.
 
 Everything is exact integer/rational arithmetic except the two bounds that
-are genuinely transcendental (D and E involve logarithms); those use
-mpmath at a precision scaled to the operand sizes, and D additionally
-confirms its floor by big-integer power comparison whenever the numbers
-involved stay affordable.
+are genuinely transcendental (D and E are floors of logarithmic terms);
+those are certified with mpmath.iv intervals at a precision scaled to the
+operand sizes, falling back to exact powers (D) or more digits (E) when an
+interval straddles an integer.
 """
 from __future__ import annotations
 
 import concurrent.futures
-import math
+import functools
 from dataclasses import dataclass
-from fractions import Fraction
 
-from mpmath import mp, mpf
+from mpmath import iv, libmp, mp
 
 from .rankgeom import _sigma_q_mp, ball_counts, gaussian
 
@@ -148,70 +147,76 @@ def covering_upper(q, m, n, rho):
     _check_rho(n, rho)
     Q = q ** (m * n)
     _, V_rho = ball_counts(q, m, n, rho)
-    out = {
+    gain = _split_gains(m, n)[rho]
+    return {
         "A": q ** (m * (n - rho)),
         "B": q ** (max(m - rho, n) * (n - rho)),
-        "C": None,
+        "C": None if gain is None else q ** (m * (n - rho) - gain),
         "D": _probabilistic_bound(q, m, n, V_rho),
         "E": _jsl_bound(q, m, n, V_rho),
     }
-    gain = _best_split_gain(m, n, rho)
-    if gain is not None:
-        out["C"] = q ** (m * (n - rho) - gain)
-    return out
 
 
-def _best_split_gain(m, n, rho):
-    """max sum rho_i (n_i - rho_i) over all feasible splits; None if no
-    split satisfies the constraints.  Plain DP over (length left, radius
-    left); parts are unordered so compositions and partitions coincide."""
-    NEG = -1
-    best = [[NEG] * (rho + 1) for _ in range(n + 1)]
+@functools.lru_cache(maxsize=64)
+def _split_gains(m, n):
+    """rho -> max sum rho_i (n_i - rho_i) over the feasible splits of (n,
+    rho), None if there are none.  One DP over (length, radius) for every
+    rho; parts are unordered so compositions and partitions coincide."""
+    best = [[-1] * (n + 1) for _ in range(n + 1)]
     best[0][0] = 0
     for used_n in range(1, n + 1):
-        for used_r in range(min(used_n, rho) + 1):
-            for a in range(1, used_n + 1):
-                for r in range(0, min(a, used_r) + 1):
-                    if a + r > m:
-                        continue
-                    prev = best[used_n - a][used_r - r]
-                    if prev == NEG:
-                        continue
-                    cand = prev + r * (a - r)
-                    if cand > best[used_n][used_r]:
-                        best[used_n][used_r] = cand
-    return None if best[n][rho] == NEG else best[n][rho]
+        for used_r in range(used_n + 1):
+            best[used_n][used_r] = max(
+                (best[used_n - a][used_r - r] + r * (a - r)
+                 for a in range(1, used_n + 1)
+                 for r in range(min(a, used_r, m - a) + 1)
+                 if best[used_n - a][used_r - r] >= 0), default=-1)
+    return tuple(None if g < 0 else g for g in best[n])
 
 
 def _working_dps(Q):
     return 60 + 2 * len(str(Q))
 
 
+def _interval_floors(expr, dps):
+    """Floors of both ends of the mpmath.iv interval expr() at dps digits."""
+    saved, iv.dps = iv.dps, dps
+    try:
+        ends = expr()._mpi_
+    finally:
+        iv.dps = saved
+    return tuple(libmp.to_int(e, libmp.round_floor) for e in ends)
+
+
 def _probabilistic_bound(q, m, n, V):
-    """Smallest K with (Q-V)^K < Q^{K-1}: floor of lnQ/(lnQ - ln(Q-V)) plus
-    one, computed at scaled precision and then confirmed (or nudged) by
-    exact big-integer comparison whenever the powers stay affordable."""
+    """Smallest K with (Q-V)^K < Q^{K-1}: floor(t) + 1 for t = lnQ/(lnQ -
+    ln(Q-V)), read off an outward-rounded interval for t; exact powers
+    decide when the interval straddles an integer, as it must if t is one."""
     Q = q ** (m * n)
     W = Q - V
     if W < 1:
         raise ValueError("ball covers the whole space")
-    if W == 1:
-        return 2
-    with mp.workdps(_working_dps(Q)):
-        t = mp.log(Q) / (mp.log(Q) - mp.log(W))
-        K = int(mp.floor(t)) + 1
-    if K * m * n * math.log2(q) <= 4e6:
+    lo, hi = _interval_floors(
+        lambda: 1 / (1 - iv.log(iv.mpf(W)) / iv.log(iv.mpf(Q))),
+        _working_dps(Q))
+    K = lo + 1
+    if lo != hi:
         while W ** K >= Q ** (K - 1):
             K += 1
-        while K > 2 and W ** (K - 1) < Q ** (K - 2):
-            K -= 1
     return K
 
 
 def _jsl_bound(q, m, n, V):
+    """floor((Q/V)(1 + ln V)), certified by an interval; ln V is
+    transcendental for V > 1, so doubling the precision ends the loop."""
     Q = q ** (m * n)
-    with mp.workdps(_working_dps(Q)):
-        return int(mp.floor(mpf(Q) / V * (1 + mp.log(V))))
+    dps = _working_dps(Q)
+    while True:
+        lo, hi = _interval_floors(
+            lambda: iv.mpf(Q) / iv.mpf(V) * (1 + iv.log(iv.mpf(V))), dps)
+        if lo == hi:
+            return lo
+        dps *= 2
 
 
 # ---------------------------------------------------------------------------

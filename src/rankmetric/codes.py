@@ -9,6 +9,7 @@ rank kernel of _batch, for every q, and are guarded by an enumeration cap.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -181,18 +182,14 @@ def hamming_distribution(code):
 # duality
 # ---------------------------------------------------------------------------
 
-_dual_cache = {}
-
-
+@functools.lru_cache(maxsize=_batch.CACHE_SIZE)
 def dual(code):
     """The dual under the standard inner product sum_i u_i v_i over GF(q^m).
 
     Computed from the reduced echelon form of G: each free column f yields
     the parity row h with h[f] = 1 and h[p_i] = -R[i][f] at the pivots.
+    Cached by the code's (field, n, G), which is its hash and equality.
     """
-    key = (code.field, code.n, code.G)
-    if key in _dual_cache:
-        return _dual_cache[key]
     F, n = code.field, code.n
     rref, pivots = _linalg.rref_field(F, [list(r) for r in code.G])
     free = [c for c in range(n) if c not in pivots]
@@ -203,9 +200,7 @@ def dual(code):
         for i, p in enumerate(pivots):
             h[p] = F.neg(rref[i][f])
         H.append(tuple(h))
-    out = LinearCode(F, n, tuple(H))
-    _dual_cache[key] = out
-    return out
+    return LinearCode(F, n, tuple(H))
 
 
 def dot(field, u, v):

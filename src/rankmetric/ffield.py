@@ -494,7 +494,7 @@ class FieldElement:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field, self.value))
+        return hash(self.value)
 
     def __int__(self):
         return self.value

@@ -11,6 +11,7 @@ inconsistently.
 import itertools
 
 import pytest
+from mpmath import iv, mp
 
 from rankmetric import bounds as bd
 from rankmetric.rankgeom import ball_counts, gaussian, tau_q
@@ -178,15 +179,48 @@ def test_upper_bounds_worked_examples():
 
 def test_probabilistic_bound_against_exact_scan():
     # independent oracle: direct smallest-K scan with exact integer powers
-    for m, n, rho in ((2, 2, 1), (3, 3, 1), (3, 3, 2), (4, 3, 2), (4, 4, 3),
-                      (3, 2, 1)):
-        _, v = ball_counts(2, m, n, rho)
-        got = bd._probabilistic_bound(2, m, n, v)
-        Q, W = 2 ** (m * n), 2 ** (m * n) - v
+    for q, m, n, rho in ((2, 2, 2, 1), (2, 3, 3, 1), (2, 3, 3, 2),
+                         (2, 4, 3, 2), (2, 4, 4, 3), (2, 3, 2, 1),
+                         (3, 2, 2, 1), (3, 3, 2, 1), (3, 3, 3, 2),
+                         (3, 4, 3, 2), (3, 4, 4, 3)):
+        _, v = ball_counts(q, m, n, rho)
+        got = bd._probabilistic_bound(q, m, n, v)
+        Q, W = q ** (m * n), q ** (m * n) - v
         K = 2
         while W ** K >= Q ** (K - 1):
             K += 1
-        assert got == K, (m, n, rho)
+        assert got == K, (q, m, n, rho)
+    assert bd._probabilistic_bound(2, 2, 1, 3) == 2   # W = 1
+
+
+@pytest.mark.parametrize("q,m,n,V,want", [
+    (2, 2, 1, 2, 3),     # Q=4, W=2: t = 2 exactly
+    (2, 4, 1, 8, 5),     # Q=16, W=8: t = 4
+    (2, 3, 2, 56, 3),    # Q=64, W=8: t = 2
+    (3, 2, 2, 72, 3),    # Q=81, W=9: t = 2
+])
+def test_probabilistic_bound_integer_t(q, m, n, V, want):
+    # t = lnQ/(lnQ - lnW) is an integer here, so its interval straddles
+    # at the working precision and the exact power walk decides
+    Q, W = q ** (m * n), q ** (m * n) - V
+    t = lambda: 1 / (1 - iv.log(iv.mpf(W)) / iv.log(iv.mpf(Q)))
+    assert bd._interval_floors(t, bd._working_dps(Q)) == (want - 2, want - 1)
+    assert bd._probabilistic_bound(q, m, n, V) == want
+
+
+def test_jsl_bound_against_high_precision_floor():
+    # independent oracle: plain mpmath floor at 4x the working precision
+    for q, top in ((2, 7), (3, 5), (5, 4)):
+        for m in range(2, top + 1):
+            for n in range(2, m + 1):
+                for rho in range(1, n):
+                    _, v = ball_counts(q, m, n, rho)
+                    Q = q ** (m * n)
+                    with mp.workdps(4 * bd._working_dps(Q)):
+                        want = int(mp.floor(mp.mpf(Q) / v
+                                            * (1 + mp.log(v))))
+                    assert bd._jsl_bound(q, m, n, v) == want, \
+                        (q, m, n, rho)
 
 
 def test_mixed_bound_against_split_enumeration():
@@ -210,7 +244,7 @@ def test_mixed_bound_against_split_enumeration():
     for m in range(2, 6):
         for n in range(1, 6):
             for rho in range(0, n + 1):
-                assert bd._best_split_gain(m, n, rho) \
+                assert bd._split_gains(m, n)[rho] \
                     == brute_gain(m, n, rho), (m, n, rho)
 
 

@@ -1,5 +1,6 @@
 """CLI tests: exit codes, formats, config echo, determinism."""
 import json
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +8,8 @@ from rankmetric import cli
 from rankmetric import codes as cd
 from rankmetric.cli import main, parse_range
 from rankmetric.ffield import make_field
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -249,3 +252,15 @@ def test_gabidulin_check_failure_exit_2(run, monkeypatch):
     rc, out, _ = run("gabidulin", "--q", "2", "--m", "2", "--n", "2",
                      "--k", "1", "--check")
     assert rc == 2
+
+
+@pytest.mark.parametrize("q,m,rho,golden", [
+    (2, "2..16", "1..16", "table1_q2_m2-16.csv"),
+    (3, "2..12", "1..12", "table1_q3_m2-12.csv"),
+])
+def test_table1_matches_golden_file(run, q, m, rho, golden):
+    # the frozen output of the wide grids; every D and E cell is certified
+    rc, out, _ = run("table1", "--q", str(q), "--m", m, "--rho", rho,
+                     "--workers", "1")
+    assert rc == 0
+    assert out == (DATA / golden).read_text()

@@ -9,6 +9,7 @@ import itertools
 import numpy as np
 import pytest
 
+from rankmetric import _batch
 from rankmetric import codes as cd
 from rankmetric import rankgeom as rg
 from rankmetric.ffield import make_field
@@ -135,6 +136,18 @@ def test_dual_example():
     whole = cd.make_code(F, [(1, 0), (0, 1)])
     assert cd.dual(whole).k == 0
     assert cd.dual(cd.make_zero_code(F, 2)).k == 2
+
+
+def test_dual_cache_is_bounded():
+    F = make_field(2, 2)
+    C = cd.make_code(F, [(1, 2)])
+    assert cd.dual(C) is cd.dual(cd.make_code(F, [(1, 2)]))
+    for a in range(1, 4):
+        for b in range(4):
+            cd.dual(cd.make_code(F, [(a, b, 1)]))
+    info = cd.dual.cache_info()
+    assert info.maxsize == _batch.CACHE_SIZE
+    assert info.currsize <= _batch.CACHE_SIZE
 
 
 @pytest.mark.parametrize("q,m,n,k", [(2, 2, 3, 1), (2, 3, 2, 1), (3, 2, 3, 2)])

@@ -307,6 +307,12 @@ def test_field_element_wrapper():
     assert "GF(2^2)" in repr(a)
 
 
+def test_field_element_hash_matches_int_equality():
+    F = make_field(2, 2)
+    assert F.element(3) == 3 and hash(F.element(3)) == hash(3)
+    assert 3 in {F.element(3)} and F.element(3) in {3}
+
+
 def test_pow_edge_cases():
     F = make_field(3, 2)
     assert F.pow(0, 0) == 1
