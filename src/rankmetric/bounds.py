@@ -18,13 +18,12 @@ interval straddles an integer.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import functools
 from dataclasses import dataclass
 
-from mpmath import iv, libmp, mp
+from mpmath import iv, libmp
 
-from .rankgeom import _sigma_q_mp, ball_counts, gaussian
+from .rankgeom import ball_counts, gaussian
 
 LOWER_TAGS = ("a", "b", "c")
 UPPER_TAGS = ("A", "B", "C", "D", "E")
@@ -290,21 +289,12 @@ def format_report(report):
 
 def covering_table(q, m_range, n_range, rho_range, workers=None):
     """BoundReports for every (m, n, rho) in the given ranges with n <= m,
-    rho <= n, keyed by (m, n, rho).  `workers` > 1 evaluates cells on a
-    process pool."""
-    cells = [(q, m, n, rho)
-             for m in m_range for n in n_range if n <= m
-             for rho in rho_range if rho <= n]
-    if workers and workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-            reports = list(pool.map(_report_cell, cells, chunksize=8))
-    else:
-        reports = [_report_cell(c) for c in cells]
-    return {(r.m, r.n, r.rho): r for r in reports}
-
-
-def _report_cell(args):
-    return covering_report(*args)
+    rho <= n, keyed by (m, n, rho).  `workers` is accepted for existing
+    callers and ignored: every cell is certified and cheap, so a process
+    pool costs more than it saves."""
+    return {(m, n, rho): covering_report(q, m, n, rho)
+            for m in m_range for n in n_range if n <= m
+            for rho in rho_range if rho <= n}
 
 
 def linear_dim_bounds(q, m, n, rho):
@@ -312,18 +302,23 @@ def linear_dim_bounds(q, m, n, rho):
     GF(q^m), n <= m, with rank covering radius rho:
     floor(n - rho - (rho(n-rho) + sigma(q))/m) + 1 <= k <= n - rho,
     collapsed to k = n - rho exactly when rho is 0, 1, n-1, or n, or when
-    rho(n - rho) <= m - sigma(q)."""
+    rho(n - rho) <= m - sigma(q).
+
+    Both tests compare an integer with sigma(q), so they hold exactly with
+    sigma(q) replaced by s = ceil(sigma(q)): 2 for q = 2 (sigma ~ 1.792)
+    and 1 for q >= 3 (sigma is decreasing, sigma(3) ~ 0.53).  Then
+    k_lower = n - rho + 1 - ceil((rho(n-rho) + s)/m) in integers."""
+    if q < 2:
+        raise ValueError(f"field size {q} must be >= 2")
     if n > m:
         raise ValueError(f"need n <= m, got n={n} > m={m}")
     if not 0 <= rho <= n:
         raise ValueError(f"covering radius {rho} outside [0, {n}]")
     k_upper = n - rho
-    sig = _sigma_q_mp(q)
-    if rho in (0, 1, n - 1, n) or rho * (n - rho) <= m - sig:
+    excess = rho * (n - rho) + (2 if q == 2 else 1)
+    if rho in (0, 1, n - 1, n) or excess <= m:
         return k_upper, k_upper
-    with mp.workdps(40):
-        k_lower = int(mp.floor(n - rho - (rho * (n - rho) + sig) / m)) + 1
-    return max(k_lower, 0), k_upper
+    return max(k_upper + 1 - _ceil_div(excess, m), 0), k_upper
 
 
 def dimension_table(q, m_range, n_range, rho_range):

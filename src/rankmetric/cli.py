@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -98,10 +97,6 @@ def emit_json(cfg, payload):
 def csv_header(cfg, columns):
     print(f"# {TABLE_VERSION} config: {cfg.echo()}")
     print(",".join(columns))
-
-
-def default_workers():
-    return int(os.environ.get("RANKMETRIC_WORKERS", "1"))
 
 
 # ---------------------------------------------------------------------------
@@ -277,12 +272,10 @@ def cmd_table1(args):
     m_range = parse_range(args.m)
     n_range = parse_range(args.n) if args.n else m_range
     rho_range = parse_range(args.rho)
-    workers = args.workers or default_workers()
     cfg = make_config("table1", q=args.q, m=echo_range(m_range),
                       n=echo_range(n_range), rho=echo_range(rho_range),
-                      format=args.format, workers=workers)
-    table = bd.covering_table(args.q, m_range, n_range, rho_range,
-                              workers=workers)
+                      format=args.format)
+    table = bd.covering_table(args.q, m_range, n_range, rho_range)
     cells = sorted(table)
     if args.format == "json":
         rows = []
@@ -348,6 +341,18 @@ def _enumerator_from_args(args):
     return we.make_enumerator(args.q, args.m, len(coeffs) - 1, coeffs)
 
 
+def _moment_checks(A, B, k):
+    """The moment identities between A and its dual distribution B for
+    every order nu, as JSON-ready records, and whether all of them hold."""
+    checks = []
+    for nu in range(A.n + 1):
+        l1, r1, l2, r2 = we.moments(A.coeffs, B.coeffs, A.q, A.m, A.n, k, nu)
+        checks.append({"nu": nu, "packing": [str(l1), str(r1)],
+                       "shell": [str(l2), str(r2)],
+                       "ok": l1 == r1 and l2 == r2})
+    return checks, all(c["ok"] for c in checks)
+
+
 def cmd_macwilliams(args):
     A = _enumerator_from_args(args)
     B = we.macwilliams(A, method=args.method)
@@ -356,15 +361,7 @@ def cmd_macwilliams(args):
                       method=args.method,
                       source=args.code or f"dist:{args.dist}")
     if args.format == "json":
-        checks = []
-        ok = True
-        for nu in range(A.n + 1):
-            l1, r1, l2, r2 = we.moments(A.coeffs, B.coeffs, A.q, A.m, A.n,
-                                        k, nu)
-            good = l1 == r1 and l2 == r2
-            ok = ok and good
-            checks.append({"nu": nu, "packing": [str(l1), str(r1)],
-                           "shell": [str(l2), str(r2)], "ok": good})
+        checks, ok = _moment_checks(A, B, k)
         emit_json(cfg, {"A": list(A.coeffs), "B": list(B.coeffs),
                         "moment_checks": checks, "ok": ok})
         return 0 if ok else 2
@@ -379,26 +376,15 @@ def cmd_moments(args):
     B = we.code_enumerator(cd.dual(code))
     cfg = make_config("moments", file=args.code, q=A.q, m=A.m, n=A.n,
                       k=code.k)
-    rows = []
-    ok = True
-    for nu in range(A.n + 1):
-        l1, r1, l2, r2 = we.moments(A.coeffs, B.coeffs, A.q, A.m, A.n,
-                                    code.k, nu)
-        good = l1 == r1 and l2 == r2
-        ok = ok and good
-        rows.append((nu, l1, r1, l2, r2, good))
+    checks, ok = _moment_checks(A, B, code.k)
     if args.format == "json":
         emit_json(cfg, {"A": list(A.coeffs), "B": list(B.coeffs),
-                        "checks": [{"nu": nu,
-                                    "packing": [str(l1), str(r1)],
-                                    "shell": [str(l2), str(r2)],
-                                    "ok": good}
-                                   for nu, l1, r1, l2, r2, good in rows],
-                        "ok": ok})
+                        "checks": checks, "ok": ok})
     else:
-        for nu, l1, r1, l2, r2, good in rows:
-            state = "ok" if good else "FAIL"
-            print(f"nu {nu}: packing {l1} == {r1}; shell {l2} == {r2} "
+        for c in checks:
+            (l1, r1), (l2, r2) = c["packing"], c["shell"]
+            state = "ok" if c["ok"] else "FAIL"
+            print(f"nu {c['nu']}: packing {l1} == {r1}; shell {l2} == {r2} "
                   f"[{state}]")
     return 0 if ok else 2
 
@@ -424,8 +410,7 @@ def cmd_search(args):
         dec = oc.exhaustive_min_covering(args.q, args.m, args.n, args.rho,
                                          args.K, budget)
         cfg = make_config("search", what="covering", q=args.q, m=args.m,
-                          n=args.n, rho=args.rho, K=args.K,
-                          seed=args.seed)
+                          n=args.n, rho=args.rho, K=args.K)
         if args.format == "json":
             emit_json(cfg, {"exists": dec.exists,
                             "witness": [list(w) for w in dec.witness]
@@ -440,7 +425,7 @@ def cmd_search(args):
             raise ValueError("greedy search needs --rho")
         book = oc.greedy_covering(args.q, args.m, args.n, args.rho, budget)
         cfg = make_config("search", what="greedy", q=args.q, m=args.m,
-                          n=args.n, rho=args.rho, seed=args.seed)
+                          n=args.n, rho=args.rho)
         if args.format == "json":
             emit_json(cfg, {"size": book.size,
                             "words": [list(w) for w in book.words]})
@@ -452,7 +437,7 @@ def cmd_search(args):
             raise ValueError("maxcode search needs --d")
         val = oc.max_code_search(args.q, args.m, args.n, args.d, budget)
         cfg = make_config("search", what="maxcode", q=args.q, m=args.m,
-                          n=args.n, d=args.d, seed=args.seed)
+                          n=args.n, d=args.d)
         if args.format == "json":
             emit_json(cfg, {"value": val})
         else:
@@ -677,7 +662,6 @@ def build_parser():
     p.add_argument("--m", default="2..7")
     p.add_argument("--n", help="defaults to the m range")
     p.add_argument("--rho", default="1..6")
-    p.add_argument("--workers", type=int)
     _add_format(p, default="csv", choices=("csv", "json"))
     p.set_defaults(func=cmd_table1)
 
@@ -714,7 +698,6 @@ def build_parser():
     p.add_argument("--K", type=int)
     p.add_argument("--d", type=int)
     p.add_argument("--budget", type=int, help="search node budget")
-    p.add_argument("--seed", type=int, default=0)
     _add_format(p)
     p.set_defaults(func=cmd_search)
 

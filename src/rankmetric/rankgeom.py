@@ -21,7 +21,7 @@ import mpmath
 from . import _linalg
 from .ffield import make_field
 
-BRUTE_GUARD = 1 << 24  # default cap on enumerated ambient size
+BRUTE_GUARD = 1 << 24  # cap on enumerated ambient size
 
 
 class NoClosedFormError(ValueError):
@@ -201,10 +201,7 @@ class Els:
 
 def make_els(q, n, rows):
     """Canonical ELS spanned by the given GF(q)^n rows (row-reduced, deduped)."""
-    if rows:
-        rref, _ = _linalg.rref_mod_q([list(r) for r in rows], q)
-    else:
-        rref = []
+    rref, _ = _linalg.rref_mod_q(rows, q)
     return Els(q, n, tuple(tuple(r) for r in rref))
 
 
@@ -237,8 +234,7 @@ def enumerate_els(q, m, n, v):
 def support_els(field, vec):
     """The unique ELS of dimension rank(vec) containing vec: the GF(q)-row
     space of the expansion, lifted back to GF(q^m)^n."""
-    rref, _ = _linalg.rref_mod_q([list(r) for r in field.expand(vec)], field.q)
-    return Els(field.q, len(vec), tuple(tuple(r) for r in rref))
+    return make_els(field.q, len(vec), field.expand(vec))
 
 
 def complements(els_a, els_v):
@@ -309,14 +305,14 @@ def intersection_volume_closed(q, m, n, r1, r2, dist):
         f"no closed form for radii ({r1},{r2}) at distance {dist}")
 
 
-def enumerate_vectors(field, n, budget=BRUTE_GUARD):
+def enumerate_vectors(field, n):
     total = field.order ** n
-    if total > budget:
-        raise ValueError(f"ambient size {total} exceeds guard {budget}")
+    if total > BRUTE_GUARD:
+        raise ValueError(f"ambient size {total} exceeds guard {BRUTE_GUARD}")
     return itertools.product(field.elements(), repeat=n)
 
 
-def intersection_vectors(field, balls, budget=BRUTE_GUARD):
+def intersection_vectors(field, balls):
     """All vectors within the given (center, radius) constraints, by full
     enumeration.  `balls` is a sequence of (center, radius) pairs."""
     balls = list(balls)
@@ -324,15 +320,15 @@ def intersection_vectors(field, balls, budget=BRUTE_GUARD):
         raise ValueError("need at least one ball")
     n = len(balls[0][0])
     out = []
-    for x in enumerate_vectors(field, n, budget):
+    for x in enumerate_vectors(field, n):
         if all(rank_distance(field, x, c) <= r for c, r in balls):
             out.append(x)
     return out
 
 
-def intersection_volume_brute(field, balls, budget=BRUTE_GUARD):
+def intersection_volume_brute(field, balls):
     """Exact |∩ B_r_i(c_i)| by enumeration; accepts any number of balls."""
-    return len(intersection_vectors(field, balls, budget))
+    return len(intersection_vectors(field, balls))
 
 
 def canonical_rank_vector(field, n, e):
@@ -343,14 +339,14 @@ def canonical_rank_vector(field, n, e):
     return field.polynomial_basis()[:e] + (0,) * (n - e)
 
 
-def intersection_volume_at_distance(field, n, r1, r2, dist, budget=BRUTE_GUARD):
+def intersection_volume_at_distance(field, n, r1, r2, dist):
     """Brute-force |B_r1 ∩ B_r2| for centers at rank distance dist.
 
     The volume depends on the centers only through their distance, so the
     centers are canonicalized to 0 and the canonical rank-dist vector.
     """
     c2 = canonical_rank_vector(field, n, dist)
-    return intersection_volume_brute(field, [((0,) * n, r1), (c2, r2)], budget)
+    return intersection_volume_brute(field, [((0,) * n, r1), (c2, r2)])
 
 
 def large_diameter_set(q, m, n, r):

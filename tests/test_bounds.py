@@ -365,13 +365,6 @@ def test_super_multiplicativity_of_uppers():
     assert not violations, violations
 
 
-def test_covering_table_workers_match_serial():
-    serial = bd.covering_table(2, range(2, 5), range(2, 5), range(1, 4))
-    parallel = bd.covering_table(2, range(2, 5), range(2, 5), range(1, 4),
-                                 workers=2)
-    assert serial == parallel
-
-
 # ---------------------------------------------------------------------------
 # linear dimension bounds
 # ---------------------------------------------------------------------------
@@ -410,6 +403,29 @@ def test_linear_dim_bounds_worked_examples():
         bd.linear_dim_bounds(2, 4, 5, 2)
     with pytest.raises(ValueError):
         bd.linear_dim_bounds(2, 4, 4, 5)
+    with pytest.raises(ValueError):
+        bd.linear_dim_bounds(1, 4, 4, 2)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_linear_dim_bounds_against_high_precision_floor(q):
+    # the defining formulas with sigma(q) summed at 100 digits, independent
+    # of the integer rewrite through ceil(sigma(q))
+    with mp.workdps(100):
+        sig = mp.nsum(lambda k: 1 / (k * (mp.mpf(q) ** k - 1)),
+                      [1, mp.inf]) / mp.log(q)
+        for m in range(1, 41):
+            for n in range(1, m + 1):
+                for rho in range(n + 1):
+                    k_upper = n - rho
+                    if rho in (0, 1, n - 1, n) or rho * (n - rho) <= m - sig:
+                        want = (k_upper, k_upper)
+                    else:
+                        low = int(mp.floor(n - rho - (rho * (n - rho) + sig)
+                                           / m)) + 1
+                        want = (max(low, 0), k_upper)
+                    assert bd.linear_dim_bounds(q, m, n, rho) == want, \
+                        (q, m, n, rho)
 
 
 def test_full_published_dimension_table():

@@ -155,19 +155,17 @@ def test_table1_csv_contract(run):
     assert rows[(2, 2, 2)] == "2,2,2,,,,,,,,,1,,1,"
 
 
-def test_table1_byte_identical_and_workers(run, monkeypatch):
+def test_table1_byte_identical(run):
     rc1, out1, _ = run("table1", "--q", "2", "--m", "2..4")
     rc2, out2, _ = run("table1", "--q", "2", "--m", "2..4")
     assert (rc1, rc2) == (0, 0) and out1 == out2
-    rc3, out3, _ = run("table1", "--q", "2", "--m", "2..4",
-                       "--workers", "2")
-    strip = lambda s: s.splitlines()[1:]
-    assert strip(out3) == strip(out1)  # same rows, different config echo
-    assert "workers=2" in out3.splitlines()[0]
-    monkeypatch.setenv("RANKMETRIC_WORKERS", "2")
-    rc4, out4, _ = run("table1", "--q", "2", "--m", "2..4")
-    assert "workers=2" in out4.splitlines()[0]
-    assert strip(out4) == strip(out1)
+
+
+def test_removed_options_exit_1(run):
+    # options that could never change an answer are gone, not ignored
+    assert run("table1", "--q", "2", "--m", "2..4", "--workers", "2")[0] == 1
+    assert run("search", "--what", "maxcode", "--q", "2", "--m", "2",
+               "--n", "2", "--d", "2", "--seed", "1")[0] == 1
 
 
 def test_table1_json(run):
@@ -260,7 +258,6 @@ def test_gabidulin_check_failure_exit_2(run, monkeypatch):
 ])
 def test_table1_matches_golden_file(run, q, m, rho, golden):
     # the frozen output of the wide grids; every D and E cell is certified
-    rc, out, _ = run("table1", "--q", str(q), "--m", m, "--rho", rho,
-                     "--workers", "1")
+    rc, out, _ = run("table1", "--q", str(q), "--m", m, "--rho", rho)
     assert rc == 0
     assert out == (DATA / golden).read_text()

@@ -402,8 +402,9 @@ def test_intersection_guard_and_validation():
     F = make_field(2, 2)
     with pytest.raises(ValueError):
         rg.intersection_vectors(F, [])
-    with pytest.raises(ValueError):
-        rg.intersection_volume_brute(F, [((0, 0, 0), 1)], budget=10)
+    # GF(2^9)^3 has 2^27 vectors, past BRUTE_GUARD: refused before enumerating
+    with pytest.raises(ValueError, match="exceeds guard"):
+        rg.intersection_volume_brute(make_field(2, 9), [((0, 0, 0), 1)])
 
 
 def test_large_diameter_set():
