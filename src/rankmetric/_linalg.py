@@ -1,71 +1,21 @@
-"""Exact Gaussian elimination over GF(q) (q prime) and over extension fields.
+"""Exact Gauss-Jordan elimination over a finite field.
 
-Matrices are lists of row lists with small-int entries.  The mod-q routines
-work directly on Python ints; the field routines take a Field object and use
-its arithmetic, so they work over any GF(q^m).
+There is one elimination, rref_field, and it serves every field: the
+routines take a Field object and use its arithmetic, so they work over any
+GF(q^m).  GF(q) itself is the field GF(q^1) (make_field(q, 1)), whose
+encodings 0..q-1 are the residues mod q.  Matrices are lists of row lists
+of field encodings.  This module does not import ffield, which imports it;
+callers pass the field.
 """
 from __future__ import annotations
 
 
-def rref_mod_q(rows, q):
-    """Reduced row echelon form over GF(q).
-
-    Returns (rref_rows, pivot_cols) where rref_rows contains only the nonzero
-    rows.  Input rows are not modified.
-    """
-    mat = [[int(x) % q for x in row] for row in rows]
-    pivots = []
-    r = 0
-    ncols = len(mat[0]) if mat else 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = pow(mat[r][c], -1, q)
-        mat[r] = [x * inv % q for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [(x - f * y) % q for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return [row for row in mat[:r]], pivots
-
-
-def rank_mod_q(rows, q):
-    return len(rref_mod_q(rows, q)[0])
-
-
-def invert_mod_q(mat, q):
-    """Inverse of a square matrix over GF(q), or None if singular."""
-    n = len(mat)
-    aug = [[x % q for x in row] + [int(i == j) for j in range(n)]
-           for i, row in enumerate(mat)]
-    rref, pivots = rref_mod_q(aug, q)
-    if pivots[:n] != list(range(n)):
-        return None
-    return [row[n:] for row in rref[:n]]
-
-
-def matvec_mod_q(mat, vec, q):
-    return [sum(a * b for a, b in zip(row, vec)) % q for row in mat]
-
-
-def in_rowspace_mod_q(rref_rows, pivots, vec, q):
-    """Membership of vec in the row space described by an RREF basis."""
-    v = [x % q for x in vec]
-    for row, p in zip(rref_rows, pivots):
-        if v[p]:
-            f = v[p]
-            v = [(x - f * y) % q for x, y in zip(v, row)]
-    return not any(v)
-
-
 def rref_field(field, rows):
-    """Reduced row echelon form over GF(q^m); returns (rref_rows, pivot_cols)."""
+    """Reduced row echelon form over GF(q^m); returns (rref_rows, pivot_cols).
+
+    rref_rows contains only the nonzero rows.  Input rows are not modified.
+    """
+    mul, sub = field.mul, field.sub
     mat = [list(row) for row in rows]
     pivots = []
     r = 0
@@ -76,21 +26,32 @@ def rref_field(field, rows):
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
         inv = field.inv(mat[r][c])
-        mat[r] = [field.mul(inv, x) for x in mat[r]]
+        mat[r] = [mul(inv, x) for x in mat[r]]
         for i in range(len(mat)):
             if i != r and mat[i][c]:
                 f = mat[i][c]
-                mat[i] = [field.sub(x, field.mul(f, y))
+                mat[i] = [sub(x, mul(f, y)) if y else x
                           for x, y in zip(mat[i], mat[r])]
         pivots.append(c)
         r += 1
         if r == len(mat):
             break
-    return [row for row in mat[:r]], pivots
+    return mat[:r], pivots
 
 
 def rank_field(field, rows):
     return len(rref_field(field, rows)[0])
+
+
+def invert(field, mat):
+    """Inverse of a square matrix over the field, or None if singular."""
+    n = len(mat)
+    aug = [list(row) + [int(i == j) for j in range(n)]
+           for i, row in enumerate(mat)]
+    rref, pivots = rref_field(field, aug)
+    if pivots[:n] != list(range(n)):
+        return None
+    return [row[n:] for row in rref[:n]]
 
 
 def lincomb(field, coeffs, rows, n):

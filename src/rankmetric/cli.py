@@ -25,7 +25,7 @@ from . import codes as cd
 from . import oracle as oc
 from . import rankgeom as rg
 from . import wenum as we
-from .ffield import make_field
+from .ffield import is_prime_power, make_field
 
 TABLE_VERSION = "rankmetric-table v1"
 
@@ -79,6 +79,15 @@ def echo_range(r):
 
 def parse_ints(text):
     return tuple(int(t) for t in text.replace(",", " ").split())
+
+
+def prime_power(text):
+    """argparse type of --q: a field size, i.e. a prime power >= 2."""
+    q = int(text)
+    if not is_prime_power(q):
+        raise argparse.ArgumentTypeError(
+            f"q must be a prime power >= 2, got {text}")
+    return q
 
 
 def parse_vector(field, text):
@@ -402,13 +411,12 @@ def _codebook_block(q, m, n, words):
 
 
 def cmd_search(args):
-    budget = oc.SearchBudget(max_nodes=args.budget) if args.budget \
-        else oc.DEFAULT_BUDGET
+    max_nodes = args.budget or oc.MAX_NODES
     if args.what == "covering":
         if args.rho is None or args.K is None:
             raise ValueError("covering search needs --rho and --K")
         dec = oc.exhaustive_min_covering(args.q, args.m, args.n, args.rho,
-                                         args.K, budget)
+                                         args.K, max_nodes=max_nodes)
         cfg = make_config("search", what="covering", q=args.q, m=args.m,
                           n=args.n, rho=args.rho, K=args.K)
         if args.format == "json":
@@ -423,7 +431,7 @@ def cmd_search(args):
     if args.what == "greedy":
         if args.rho is None:
             raise ValueError("greedy search needs --rho")
-        book = oc.greedy_covering(args.q, args.m, args.n, args.rho, budget)
+        book = oc.greedy_covering(args.q, args.m, args.n, args.rho)
         cfg = make_config("search", what="greedy", q=args.q, m=args.m,
                           n=args.n, rho=args.rho)
         if args.format == "json":
@@ -435,7 +443,8 @@ def cmd_search(args):
     if args.what == "maxcode":
         if args.d is None:
             raise ValueError("maxcode search needs --d")
-        val = oc.max_code_search(args.q, args.m, args.n, args.d, budget)
+        val = oc.max_code_search(args.q, args.m, args.n, args.d,
+                                 max_nodes=max_nodes)
         cfg = make_config("search", what="maxcode", q=args.q, m=args.m,
                           n=args.n, d=args.d)
         if args.format == "json":
@@ -501,10 +510,8 @@ def _suite_macwilliams(trials, seed):
             bad.append(("involution", q, m, n, k, i))
         if we.macwilliams(A, method="qproduct").coeffs != B.coeffs:
             bad.append(("method agreement", q, m, n, k, i))
-        for nu in range(n + 1):
-            l1, r1, l2, r2 = we.moments(A.coeffs, B.coeffs, q, m, n, k, nu)
-            if l1 != r1 or l2 != r2:
-                bad.append(("moments", q, m, n, k, nu, i))
+        bad += [("moments", q, m, n, k, c["nu"], i)
+                for c in _moment_checks(A, B, k)[0] if not c["ok"]]
     checks.append((f"macwilliams oracle x{trials}", not bad, str(bad[:4])))
     return checks
 
@@ -619,13 +626,14 @@ def build_parser():
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("ball", help="sphere/ball sizes and bounds")
-    for name in ("q", "m", "n", "r"):
+    p.add_argument("--q", type=prime_power, required=True)
+    for name in ("m", "n", "r"):
         p.add_argument(f"--{name}", type=int, required=True)
     _add_format(p)
     p.set_defaults(func=cmd_ball)
 
     p = sub.add_parser("els", help="elementary linear subspace counts")
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=prime_power, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--v", type=int)
     p.add_argument("--list", action="store_true")
@@ -652,13 +660,14 @@ def build_parser():
     p.set_defaults(func=cmd_gabidulin)
 
     p = sub.add_parser("bounds", help="covering bounds for one cell")
-    for name in ("q", "m", "n", "rho"):
+    p.add_argument("--q", type=prime_power, required=True)
+    for name in ("m", "n", "rho"):
         p.add_argument(f"--{name}", type=int, required=True)
     _add_format(p)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("table1", help="covering bound table (CSV/JSON)")
-    p.add_argument("--q", type=int, default=2)
+    p.add_argument("--q", type=prime_power, default=2)
     p.add_argument("--m", default="2..7")
     p.add_argument("--n", help="defaults to the m range")
     p.add_argument("--rho", default="1..6")
@@ -666,7 +675,7 @@ def build_parser():
     p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("table2", help="linear dimension table (CSV/JSON)")
-    p.add_argument("--q", type=int, default=2)
+    p.add_argument("--q", type=prime_power, default=2)
     p.add_argument("--m", default="4..8")
     p.add_argument("--n", help="defaults to the m range")
     p.add_argument("--rho", default="2..6")
@@ -677,7 +686,7 @@ def build_parser():
                        help="rank weight distribution of the dual")
     p.add_argument("--code", help="code file")
     p.add_argument("--dist", help="explicit distribution A_0,...,A_n")
-    p.add_argument("--q", type=int)
+    p.add_argument("--q", type=prime_power)
     p.add_argument("--m", type=int)
     p.add_argument("--method", default="krawtchouk",
                    choices=("krawtchouk", "qproduct"))

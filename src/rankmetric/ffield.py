@@ -15,11 +15,16 @@ The modulus defaults to the monic irreducible polynomial of degree m whose
 coefficient tuple (c_0, ..., c_m), read as a base-q integer, is smallest.
 Irreducibility is certified by trial division against every monic polynomial
 of degree 1..m/2.
+
+Linear algebra over the base field (bases, coordinates, dual bases) runs the
+one elimination of _linalg over GF(q) taken as the field GF(q^1).
 """
 from __future__ import annotations
 
 import functools
 import itertools
+
+from mpmath.libmp import isprime
 
 from . import _linalg
 
@@ -55,6 +60,22 @@ def _prime_factors(x):
     if x > 1:
         out.append(x)
     return out
+
+
+def is_prime_power(q):
+    """Whether q = p^k for a prime p and k >= 1, i.e. q is a field size.
+
+    The largest k with an integer k-th root gives the base, which must pass
+    mpmath's Miller-Rabin test; there is no trial division to hang on.
+    """
+    for k in range(q.bit_length() - 1, 0, -1):
+        lo, hi = 1, 1 << -(-q.bit_length() // k)
+        while lo < hi:  # bisect for lo = floor(q^(1/k))
+            mid = (lo + hi + 1) // 2
+            lo, hi = (mid, hi) if mid ** k <= q else (lo, mid - 1)
+        if lo ** k == q:
+            return isprime(lo)
+    return False
 
 
 @functools.cache
@@ -179,35 +200,27 @@ class Field:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def add(self, a, b):
-        if self.q == 2:
-            return a ^ b
+    def _digitwise(self, a, b, sign):
+        """a + sign * b digit by digit mod q: one pass over the digits, which
+        stops where both operands run out."""
         q = self.q
         out = 0
         mult = 1
-        for _ in range(self.m):
-            out += (a + b) % q * mult
+        while a or b:
+            out += (a + sign * b) % q * mult
             a //= q
             b //= q
             mult *= q
         return out
 
+    def add(self, a, b):
+        return a ^ b if self.q == 2 else self._digitwise(a, b, 1)
+
     def neg(self, a):
-        if self.q == 2:
-            return a
-        q = self.q
-        out = 0
-        mult = 1
-        for _ in range(self.m):
-            out += -a % q * mult
-            a //= q
-            mult *= q
-        return out
+        return a if self.q == 2 else self._digitwise(0, a, -1)
 
     def sub(self, a, b):
-        if self.q == 2:
-            return a ^ b
-        return self.add(a, self.neg(b))
+        return a ^ b if self.q == 2 else self._digitwise(a, b, -1)
 
     def _mul_raw(self, a, b):
         """Schoolbook polynomial multiplication with reduction by the modulus."""
@@ -291,23 +304,21 @@ class Field:
 
     # -- bases and expansions --------------------------------------------------
 
-    def _basis_matrix(self, basis):
+    def _basis_inverse(self, basis):
+        """Inverse over GF(q) of the m x m matrix whose column k holds the
+        digits of basis[k], or None when the elements are dependent."""
         basis = list(basis)
         if len(basis) != self.m:
             raise ValueError(f"a basis of GF({self.q}^{self.m}) needs {self.m} elements")
-        return [[self.digits(b)[i] for b in basis] for i in range(self.m)]
+        mat = [[self.digits(b)[i] for b in basis] for i in range(self.m)]
+        return _linalg.invert(make_field(self.q, 1), mat)
 
     def is_basis(self, basis):
-        return _linalg.invert_mod_q(self._basis_matrix(basis), self.q) is not None
+        return self._basis_inverse(basis) is not None
 
     def coords(self, x, basis=None):
         """Coordinates of x over GF(q) with respect to basis (default: polynomial)."""
-        if basis is None:
-            return self.digits(x)
-        binv = _linalg.invert_mod_q(self._basis_matrix(basis), self.q)
-        if binv is None:
-            raise ValueError("given elements do not form a basis")
-        return tuple(_linalg.matvec_mod_q(binv, list(self.digits(x)), self.q))
+        return tuple(row[0] for row in self.expand((x,), basis))
 
     def from_coords(self, cs, basis=None):
         if basis is None:
@@ -319,16 +330,16 @@ class Field:
 
     def expand(self, vec, basis=None):
         """m x n matrix over GF(q): column j holds the coordinates of vec[j]."""
-        binv = None
-        if basis is not None:
-            binv = _linalg.invert_mod_q(self._basis_matrix(basis), self.q)
-            if binv is None:
-                raise ValueError("given elements do not form a basis")
-        cols = []
-        for v in vec:
-            d = list(self.digits(v))
-            cols.append(d if binv is None else _linalg.matvec_mod_q(binv, d, self.q))
-        return tuple(tuple(col[i] for col in cols) for i in range(self.m))
+        cols = [self.digits(v) for v in vec]
+        mat = tuple(tuple(col[i] for col in cols) for i in range(self.m))
+        if basis is None:
+            return mat
+        binv = self._basis_inverse(basis)
+        if binv is None:
+            raise ValueError("given elements do not form a basis")
+        # row i of the coordinates is sum_j binv[i][j] * (digit row j)
+        F1 = make_field(self.q, 1)
+        return tuple(_linalg.lincomb(F1, row, mat, len(cols)) for row in binv)
 
     def reassemble(self, mat, basis=None):
         """Inverse of expand: columns of the m x n matrix back to field elements."""
@@ -354,7 +365,7 @@ class Field:
             raise ValueError(f"a basis of GF({self.q}^{self.m}) needs {self.m} elements")
         powers = self.polynomial_basis()
         mat = [[self.trace(self.mul(e, p)) for p in powers] for e in basis]
-        cinv = _linalg.invert_mod_q(mat, self.q)
+        cinv = _linalg.invert(make_field(self.q, 1), mat)
         if cinv is None:
             raise ValueError("given elements do not form a basis")
         return tuple(self.from_digits([cinv[k][j] for k in range(self.m)])
@@ -420,26 +431,6 @@ def field_from_descriptor(text):
     q, m = parts[0], parts[1]
     rest = parts[2:]
     return Field(q, m, rest if rest else None)
-
-
-def element_arith(field, a, b, op):
-    """Dispatch basic arithmetic on integer-encoded elements.
-
-    op is one of add, sub, mul, div, inv, or "pow k" with an integer k.
-    """
-    if op == "add":
-        return field.add(a, b)
-    if op == "sub":
-        return field.sub(a, b)
-    if op == "mul":
-        return field.mul(a, b)
-    if op == "div":
-        return field.div(a, b)
-    if op == "inv":
-        return field.inv(a)
-    if op.startswith("pow"):
-        return field.pow(a, int(op.split()[1]))
-    raise ValueError(f"unknown operation {op!r}")
 
 
 class FieldElement:

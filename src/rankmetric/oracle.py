@@ -29,21 +29,13 @@ class InconclusiveSearch(RuntimeError):
     """A search hit its budget before the answer was settled."""
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    """Caps that keep searches sound rather than wrong.
-
-    max_space caps the ambient size q^{mn} for covering scans, max_nodes
-    caps branch-and-bound expansions (the practical stand-in for a
-    binomial(q^{mn}, K) subset count), and clique_space caps the ambient
-    size for maximum-clique packing searches.
-    """
-    max_space: int = 1 << 20
-    max_nodes: int = 1 << 22
-    clique_space: int = 1 << 8
-
-
-DEFAULT_BUDGET = SearchBudget()
+# Caps that keep searches sound rather than wrong: the ambient size q^{mn}
+# of covering scans and of maximum-clique packing searches, and the default
+# number of branch-and-bound expansions (the practical stand-in for a
+# binomial(q^{mn}, K) subset count), which callers may set per search.
+MAX_SPACE = 1 << 20
+CLIQUE_SPACE = 1 << 8
+MAX_NODES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -100,7 +92,7 @@ def is_covering(q, m, n, centers, rho):
     return True
 
 
-def exhaustive_min_covering(q, m, n, rho, K, budget=DEFAULT_BUDGET):
+def exhaustive_min_covering(q, m, n, rho, K, *, max_nodes=MAX_NODES):
     """Decide whether K balls of rank-radius rho can cover GF(q^m)^n.
 
     Exact branch-and-bound set cover: covering is translation invariant, so
@@ -112,7 +104,7 @@ def exhaustive_min_covering(q, m, n, rho, K, budget=DEFAULT_BUDGET):
     _check_params(q, m, n, rho)
     F = make_field(q, m)
     Q = F.order ** n
-    if Q > budget.max_space:
+    if Q > MAX_SPACE:
         raise InconclusiveSearch(f"ambient size {Q} exceeds budget")
     if K < 1:
         return CoveringDecision(False)
@@ -135,8 +127,8 @@ def exhaustive_min_covering(q, m, n, rho, K, budget=DEFAULT_BUDGET):
     def extend(covered, depth):
         nonlocal nodes
         nodes += 1
-        if nodes > budget.max_nodes:
-            raise InconclusiveSearch(f"node budget {budget.max_nodes} hit")
+        if nodes > max_nodes:
+            raise InconclusiveSearch(f"node budget {max_nodes} hit")
         if covered == full:
             return True
         if depth == K:
@@ -161,14 +153,14 @@ def exhaustive_min_covering(q, m, n, rho, K, budget=DEFAULT_BUDGET):
     return CoveringDecision(False)
 
 
-def greedy_covering(q, m, n, rho, budget=DEFAULT_BUDGET):
+def greedy_covering(q, m, n, rho):
     """Covering code built by the greedy heuristic (largest new coverage,
     ties to the smallest vector encoding).  The result is a verified
     covering, hence a certified upper bound witness for K_R."""
     _check_params(q, m, n, rho)
     F = make_field(q, m)
     Q = F.order ** n
-    if Q > budget.max_space:
+    if Q > MAX_SPACE:
         raise InconclusiveSearch(f"ambient size {Q} exceeds budget")
 
     # gains[c] counts the uncovered vectors in the ball around c; covering
@@ -192,7 +184,7 @@ def greedy_covering(q, m, n, rho, budget=DEFAULT_BUDGET):
     return make_codebook(F, words)
 
 
-def max_code_search(q, m, n, d, budget=DEFAULT_BUDGET):
+def max_code_search(q, m, n, d, *, max_nodes=MAX_NODES):
     """Exact maximum cardinality of a code in GF(q^m)^n with minimum rank
     distance >= d, by maximum clique over the rank-distance graph.
 
@@ -205,7 +197,7 @@ def max_code_search(q, m, n, d, budget=DEFAULT_BUDGET):
         raise ValueError("distance must be positive")
     F = make_field(q, m)
     Q = F.order ** n
-    if Q > budget.clique_space:
+    if Q > CLIQUE_SPACE:
         raise InconclusiveSearch(f"ambient size {Q} exceeds clique budget")
 
     tab = _batch.rank_table(F, n)
@@ -219,8 +211,8 @@ def max_code_search(q, m, n, d, budget=DEFAULT_BUDGET):
     def bk(size, P, X):
         nonlocal best, nodes
         nodes += 1
-        if nodes > budget.max_nodes:
-            raise InconclusiveSearch(f"node budget {budget.max_nodes} hit")
+        if nodes > max_nodes:
+            raise InconclusiveSearch(f"node budget {max_nodes} hit")
         if P == 0 and X == 0:
             best = max(best, size)
             return

@@ -136,7 +136,7 @@ def ball_volume_bounds(q, m, n, r):
 def rank(field, vec):
     """Rank weight: GF(q)-rank of the m x n expansion of vec."""
     vec = tuple(int(x) for x in vec)  # tolerate numpy integers
-    return _linalg.rank_mod_q(list(field.expand(vec)), field.q)
+    return _linalg.rank_field(make_field(field.q, 1), field.expand(vec))
 
 
 def rank_distance(field, u, v):
@@ -165,28 +165,19 @@ class Els:
     def dim(self):
         return len(self.basis)
 
-    def _pivots(self):
-        return [next(j for j, x in enumerate(row) if x) for row in self.basis]
-
     def contains(self, field, vec):
-        """Membership of a GF(q^m)^n vector: every expansion row of vec must
-        lie in the GF(q)-row space of the basis."""
+        """Membership of a GF(q^m)^n vector: its support ELS, the GF(q)-row
+        space of its expansion, must lie inside this ELS."""
         if field.q != self.q:
             raise ValueError("field/ELS base mismatch")
-        pivots = self._pivots()
-        return all(
-            _linalg.in_rowspace_mod_q(list(self.basis), pivots, row, self.q)
-            for row in field.expand(vec)
-        )
+        return self.contains_els(support_els(field, vec))
 
     def contains_els(self, other):
+        """Rank test: other's rows leave the rank of the basis at dim."""
         if (self.q, self.n) != (other.q, other.n):
             raise ValueError("ambient mismatch")
-        pivots = self._pivots()
-        return all(
-            _linalg.in_rowspace_mod_q(list(self.basis), pivots, row, self.q)
-            for row in other.basis
-        )
+        rows = [*self.basis, *other.basis]
+        return _linalg.rank_field(make_field(self.q, 1), rows) == self.dim
 
     def elements(self, field):
         """All q^{m * dim} vectors: GF(q^m)-combinations of the basis rows."""
@@ -200,8 +191,10 @@ class Els:
 
 
 def make_els(q, n, rows):
-    """Canonical ELS spanned by the given GF(q)^n rows (row-reduced, deduped)."""
-    rref, _ = _linalg.rref_mod_q(rows, q)
+    """Canonical ELS spanned by the given integer rows, read mod q
+    (row-reduced, deduped)."""
+    rows = [[int(x) % q for x in row] for row in rows]
+    rref, _ = _linalg.rref_field(make_field(q, 1), rows)
     return Els(q, n, tuple(tuple(r) for r in rref))
 
 
@@ -244,16 +237,12 @@ def complements(els_a, els_v):
     a, v, n, q = els_a.dim, els_v.dim, els_v.n, els_v.q
     if a == 0:
         return [els_v]
+    F1 = make_field(q, 1)
     out = []
-    rows_a = [list(r) for r in els_a.basis]
     for sub in _subspaces(q, v, v - a):
         # lift the internal subspace through V's basis
-        rows_b = [
-            [sum(c * rv for c, rv in zip(coeffs, col)) % q
-             for col in zip(*els_v.basis)]
-            for coeffs in sub
-        ]
-        if _linalg.rank_mod_q(rows_a + rows_b, q) == v:
+        rows_b = [_linalg.lincomb(F1, c, els_v.basis, n) for c in sub]
+        if _linalg.rank_field(F1, [*els_a.basis, *rows_b]) == v:
             out.append(make_els(q, n, rows_b))
     return out
 
@@ -265,8 +254,8 @@ def project(field, u, els_a, els_b):
     coefficients are found by solving one linear system over the extension
     field.  Raises if A and B intersect nontrivially or u lies outside A+B.
     """
-    rows = [list(r) for r in els_a.basis] + [list(r) for r in els_b.basis]
-    if _linalg.rank_mod_q(rows, field.q) < len(rows):
+    rows = [*els_a.basis, *els_b.basis]
+    if _linalg.rank_field(make_field(field.q, 1), rows) < len(rows):
         raise ValueError("A and B intersect nontrivially")
     coeffs = _linalg.solve_field(field, rows, list(u))
     if coeffs is None:

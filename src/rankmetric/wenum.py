@@ -231,6 +231,8 @@ class RankEnumerator:
 
 
 def make_enumerator(q, m, n, coeffs):
+    if q < 2 or m < 1:
+        raise ValueError(f"field size q^m = {q}^{m} must be at least 2")
     coeffs = tuple(as_int(c) for c in coeffs)
     if len(coeffs) != n + 1:
         raise ValueError(f"need {n + 1} coefficients, got {len(coeffs)}")

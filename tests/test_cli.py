@@ -1,5 +1,8 @@
 """CLI tests: exit codes, formats, config echo, determinism."""
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,7 +12,8 @@ from rankmetric import codes as cd
 from rankmetric.cli import main, parse_range
 from rankmetric.ffield import make_field
 
-DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "tests" / "data"
 
 
 @pytest.fixture
@@ -166,6 +170,43 @@ def test_removed_options_exit_1(run):
     assert run("table1", "--q", "2", "--m", "2..4", "--workers", "2")[0] == 1
     assert run("search", "--what", "maxcode", "--q", "2", "--m", "2",
                "--n", "2", "--d", "2", "--seed", "1")[0] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("table1", "--q", "1"),
+    ("table1", "--q", "6"),
+    ("table2", "--q", "6"),
+    ("bounds", "--q", "1", "--m", "2", "--n", "2", "--rho", "1"),
+    ("els", "--q", "1", "--n", "2"),
+    ("ball", "--q", "0", "--m", "2", "--n", "2", "--r", "1"),
+    ("macwilliams", "--dist", "2,0", "--q", "10", "--m", "1"),
+], ids=lambda argv: "-".join(argv[:3]))
+def test_bad_q_exits_1(run, argv):
+    rc, out, err = run(*argv)
+    assert rc == 1 and not out
+    assert "prime power" in err
+
+
+def test_macwilliams_trivial_field_exits_1():
+    # q^m = 1 once looped forever looking for the code dimension, so these
+    # run in a subprocess under a timeout
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for q, m in ((1, 1), (2, 0)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "rankmetric.cli", "macwilliams",
+             "--dist", "2,0", "--q", str(q), "--m", str(m)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1, (q, m, proc.stderr)
+        assert not proc.stdout and "Traceback" not in proc.stderr
+
+
+def test_prime_power_q_accepted(run):
+    rc, out, _ = run("table1", "--q", "4", "--m", "2..3")
+    assert rc == 0 and "q=4" in out.splitlines()[0]
+    # a large prime q is checked without trial division
+    rc, out, _ = run("bounds", "--q", str(10 ** 18 + 3), "--m", "2",
+                     "--n", "2", "--rho", "1")
+    assert rc == 0 and out.startswith(f"K_R({10 ** 18 + 3}^2, 2, 1)")
 
 
 def test_table1_json(run):

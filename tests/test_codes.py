@@ -5,6 +5,7 @@ enumeration: scalar rank computations oracle the vectorized rank kernel,
 and covering radii are recomputed by a direct python double loop.
 """
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -250,6 +251,23 @@ def test_gabidulin_frobenius_power():
     assert C.G[1] == tuple(F.frobenius(x, 2) for x in F.polynomial_basis())
 
 
+def els_scan_size(q, m, n, k):
+    """Vectors the element scan visits: [n, n-k]_q ELS's of q^{m(n-k)}."""
+    return rg.gaussian(n, n - k, q) * q ** (m * (n - k))
+
+
+def els_scan_mrd(code):
+    """Independent reference: enumerate every member of every ELS of
+    dimension n - k and look for a nonzero one passing the parity checks."""
+    F, n, k = code.field, code.n, code.k
+    H = cd.dual(code).G
+    for els in rg.enumerate_els(F.q, F.m, n, n - k):
+        for v in els.elements(F):
+            if any(v) and all(cd.dot(F, h, v) == 0 for h in H):
+                return False
+    return True
+
+
 def test_mrd_els_check():
     F8 = make_field(2, 3)
     assert cd.mrd_els_check(cd.gabidulin(F8, F8.polynomial_basis(), 2))
@@ -261,6 +279,47 @@ def test_mrd_els_check():
     # agreement with the distance characterization on random codes
     for C in random_linear_codes(F8, 3, 2, 10, seed=3):
         assert cd.mrd_els_check(C) == (cd.min_rank_distance(C) == 2)
+    # the rank test against the element scan: random codes of every shape
+    # over q=2, m <= 4 and q=3, m <= 3, then every Gabidulin code over a
+    # field of at most 64 elements whose scan visits at most 2^16 vectors
+    verdicts = []
+    for q, top in ((2, 4), (3, 3)):
+        for m in range(1, top + 1):
+            F = make_field(q, m)
+            for n in range(1, m + 1):
+                for k in range(1, n + 1):
+                    for C in random_linear_codes(F, n, k, 3,
+                                                 seed=100 * q + 10 * m + n + k):
+                        verdicts.append(cd.mrd_els_check(C))
+                        assert verdicts[-1] == els_scan_mrd(C), C.G
+    assert verdicts.count(False) >= 10  # both answers are exercised
+    for q, top in ((2, 6), (3, 3), (5, 2)):
+        for m in range(1, top + 1):
+            F = make_field(q, m)
+            for n in range(1, m + 1):
+                for k in range(1, n + 1):
+                    if els_scan_size(q, m, n, k) <= 1 << 16:
+                        C = cd.gabidulin(F, F.polynomial_basis()[:n], k)
+                        assert cd.mrd_els_check(C) and els_scan_mrd(C), C
+
+
+@pytest.mark.parametrize("q, m, n, k", [(2, 6, 6, 3), (3, 4, 4, 2)])
+def test_mrd_els_check_past_element_scan(q, m, n, k):
+    # an element scan visits 2^28.4 and 2^19.7 vectors here; the rank test
+    # runs one elimination for each of the 1395 and 130 ELS's
+    F = make_field(q, m)
+    C = cd.gabidulin(F, F.polynomial_basis()[:n], k)
+    start = time.perf_counter()
+    assert cd.mrd_els_check(C) is True
+    assert time.perf_counter() - start < 1.0
+
+
+def test_mrd_els_check_guard():
+    F = make_field(2, 10)
+    C = cd.gabidulin(F, F.polynomial_basis(), 5)
+    assert rg.gaussian(10, 5, 2) > rg.BRUTE_GUARD
+    with pytest.raises(ValueError, match="ELS count"):
+        cd.mrd_els_check(C)
 
 
 # ---------------------------------------------------------------------------

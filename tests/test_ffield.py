@@ -8,9 +8,9 @@ from rankmetric.ffield import (
     Field,
     FieldElement,
     default_modulus,
-    element_arith,
     field_from_descriptor,
     is_irreducible,
+    is_prime_power,
     make_field,
 )
 
@@ -281,16 +281,15 @@ def test_descriptor_roundtrip():
     assert G.q == 2 and G.m == 2 and G.modulus == (1, 1, 1)
 
 
-def test_element_arith_dispatch():
-    F = make_field(2, 2)
-    assert element_arith(F, 2, 3, "add") == 1
-    assert element_arith(F, 2, 3, "sub") == 1
-    assert element_arith(F, 2, 3, "mul") == 1
-    assert element_arith(F, 1, 2, "div") == 3
-    assert element_arith(F, 2, 0, "inv") == 3
-    assert element_arith(F, 2, 0, "pow 3") == 1
-    with pytest.raises(ValueError):
-        element_arith(F, 1, 1, "frombulate")
+def test_is_prime_power_against_trial_division():
+    def by_division(q):  # q = p^k iff stripping the least factor leaves 1
+        p = next((p for p in range(2, q + 1) if q % p == 0), None)
+        while p and q % p == 0:
+            q //= p
+        return p is not None and q == 1
+    assert all(is_prime_power(q) == by_division(q) for q in range(-3, 3000))
+    assert is_prime_power(3 ** 200) and is_prime_power((2 ** 61 - 1) ** 3)
+    assert not is_prime_power((2 ** 61 - 1) * (2 ** 31 - 1))
 
 
 def test_field_element_wrapper():

@@ -38,13 +38,11 @@ def test_exhaustive_covering_trivia():
 
 def test_exhaustive_covering_budgets():
     with pytest.raises(oc.InconclusiveSearch):
-        oc.exhaustive_min_covering(2, 5, 5, 1, 3,
-                                   oc.SearchBudget(max_space=16))
+        oc.exhaustive_min_covering(2, 5, 5, 1, 3)  # 2^25 > MAX_SPACE
     # K = 12 at (m, n, rho) = (3, 3, 1) is beyond the volume prune, so the
     # search must actually branch -- and give up at a tiny node budget
     with pytest.raises(oc.InconclusiveSearch):
-        oc.exhaustive_min_covering(2, 3, 3, 1, 12,
-                                   oc.SearchBudget(max_nodes=50))
+        oc.exhaustive_min_covering(2, 3, 3, 1, 12, max_nodes=50)
 
 
 def test_greedy_covering_verified_and_bounded():

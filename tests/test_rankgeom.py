@@ -64,7 +64,7 @@ def test_alpha_beta_identities(q):
             vecs = list(itertools.product(range(q), repeat=m))
             count = sum(
                 1 for tup in itertools.permutations(vecs, u)
-                if _linalg.rank_mod_q([list(v) for v in tup], q) == u
+                if _linalg.rank_field(make_field(q, 1), [list(v) for v in tup]) == u
             ) if q ** m <= 16 and u <= 2 else None
             if count is not None:
                 assert rg.alpha(m, u, q) == count
@@ -164,7 +164,7 @@ def test_rank_invariant_under_gl_action(m, n):
     coord = [(xs >> (j * m)) & ((1 << m) - 1) for j in range(n)]
     for M in itertools.product(range(2), repeat=n * n):
         rows = [M[i * n:(i + 1) * n] for i in range(n)]
-        if _linalg.rank_mod_q([list(r) for r in rows], 2) < n:
+        if _linalg.rank_field(make_field(2, 1), [list(r) for r in rows]) < n:
             continue
         ys = np.zeros_like(xs)
         for j in range(n):
@@ -185,7 +185,7 @@ def test_rank_invariant_under_expansion_basis(m, n):
         r0 = rg.rank(F, vec)
         for b in bases:
             mat = [list(row) for row in F.expand(vec, basis=b)]
-            assert _linalg.rank_mod_q(mat, 2) == r0
+            assert _linalg.rank_field(make_field(2, 1), mat) == r0
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +243,8 @@ def test_complements_counts():
         assert len(cs) == 2  # q^{a(v-a)} = 2
         for b in cs:
             assert rg.gaussian(2, 1, 2) == 3  # sanity on ambient
-            assert _linalg.rank_mod_q(
-                [list(r) for r in a.basis + b.basis], 2) == 2
+            assert _linalg.rank_field(
+                make_field(2, 1), [list(r) for r in a.basis + b.basis]) == 2
         total_pairs += len(cs)
     assert total_pairs == 2 * rg.gaussian(2, 1, 2)  # q^{a(v-a)} [v a] = 6
 
@@ -450,7 +450,7 @@ def test_batch_rank_digit_mats_matches_elimination(q):
     rng = np.random.default_rng(11)
     mats = rng.integers(0, q, size=(150, 4, 5), dtype=np.int64)
     got = _batch.rank_digit_mats(q, mats)
-    want = [_linalg.rank_mod_q([list(r) for r in mat], q) for mat in mats]
+    want = [_linalg.rank_field(make_field(q, 1), [list(r) for r in mat]) for mat in mats]
     assert list(got) == want
 
 
