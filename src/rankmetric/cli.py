@@ -195,7 +195,7 @@ def cmd_code(args):
     cfg = make_config("code", file=args.file, q=F.q, m=F.m,
                       n=code.n, k=code.k)
     dist = cd.rank_distribution(code)
-    d = cd.min_rank_distance(code)
+    d = next((r for r in range(1, code.n + 1) if dist[r]), None)
     radius = None
     radius_note = ""
     if args.radius:

@@ -6,6 +6,11 @@ linear over their new ambient field, so they return Codebooks).  Exhaustive
 quantities (rank distribution, minimum distance, covering radius) stream
 codewords or ambient vectors in fixed-size chunks through the vectorized
 rank kernel of _batch, for every q, and are guarded by an enumeration cap.
+
+Weight distributions of a linear code rank one codeword per scalar class:
+x -> a x is a GF(q)-linear bijection of GF(q^m) for every nonzero a, so the
+q^m - 1 nonzero multiples of a codeword share its rank and Hamming weights,
+and (q^{mk} - 1)/(q^m - 1) words stand for the q^{mk}.
 """
 from __future__ import annotations
 
@@ -134,15 +139,42 @@ def _word_chunks(code):
     return _batch.vector_chunks(code.field, code.k, G)
 
 
-def rank_distribution(code):
-    """(A_0, ..., A_n): codeword counts by rank weight, exact."""
+def _class_chunks(code):
+    """(N, n) arrays of one codeword per GF(q^m)* scalar class of a linear
+    code's nonzero words: the messages whose first nonzero symbol is 1, that
+    is G[j] + x G[j+1:] for each row j and every x in GF(q^m)^{k-j-1}."""
+    F = code.field
+    G = np.array(code.G, dtype=np.int64).reshape(code.k, code.n)
+    for j in range(code.k):
+        for words in _batch.vector_chunks(F, code.k - j - 1, G[j + 1:]):
+            yield _batch.add(F, words, G[j])
+
+
+def _weight_distribution(code, weights):
+    """Codeword counts by weights(field, words), a weight nonzero scalars
+    keep: every word of a Codebook, or one per scalar class of a linear
+    code times the class size q^m - 1.  Guarded by the words counted."""
     F, n = code.field, code.n
-    if code.size > BRUTE_GUARD:
-        raise ValueError(f"codebook size {code.size} exceeds guard")
+    linear = isinstance(code, LinearCode)
+    count = (code.size - 1) // (F.order - 1) if linear else code.size
+    if count > BRUTE_GUARD:
+        what = "scalar class count" if linear else "codebook size"
+        raise ValueError(f"{what} {count} exceeds guard")
     counts = np.zeros(n + 1, dtype=np.int64)
-    for words in _word_chunks(code):
-        counts += np.bincount(_batch.rank_words(F, words), minlength=n + 1)
-    return tuple(int(c) for c in counts)
+    for words in (_class_chunks if linear else _word_chunks)(code):
+        counts += np.bincount(weights(F, words), minlength=n + 1)
+    if not linear:
+        return tuple(int(c) for c in counts)
+    return (1,) + tuple((F.order - 1) * int(c) for c in counts[1:])
+
+
+def rank_distribution(code):
+    """(A_0, ..., A_n): codeword counts by rank weight, exact.
+
+    A nonzero scalar is a GF(q)-linear bijection of GF(q^m), so it keeps the
+    rank of the m x n expansion: a linear code ranks one word per GF(q^m)*
+    scalar class, (q^{mk} - 1)/(q^m - 1) words instead of q^{mk}."""
+    return _weight_distribution(code, _batch.rank_words)
 
 
 def min_rank_distance(code):
@@ -172,10 +204,8 @@ def min_rank_distance(code):
 
 def hamming_distribution(code):
     """Codeword counts by Hamming weight (for d_R <= d_H comparisons)."""
-    counts = [0] * (code.n + 1)
-    for w in codewords(code):
-        counts[sum(1 for x in w if x)] += 1
-    return tuple(counts)
+    return _weight_distribution(
+        code, lambda F, words: (words != 0).sum(axis=1))
 
 
 # ---------------------------------------------------------------------------

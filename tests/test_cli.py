@@ -110,6 +110,34 @@ def test_gabidulin_emit_and_inspect(run, tmp_path):
     assert data["rank_distribution"] == [1, 0, 3]
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_code_ranks_the_code_once(run, tmp_path, monkeypatch, fmt):
+    F = make_field(2, 3)
+    path = tmp_path / "gab.txt"
+    cd.write_code(path, cd.gabidulin(F, F.polynomial_basis(), 2))
+    calls = []
+    ranked = cd.rank_distribution
+
+    def counting(code):
+        calls.append(code)
+        return ranked(code)
+    monkeypatch.setattr(cd, "rank_distribution", counting)
+    rc, out, _ = run("code", "--file", str(path), "--format", fmt)
+    assert rc == 0 and len(calls) == 1
+    assert ("min rank distance: 2" in out if fmt == "text"
+            else json.loads(out)["min_rank_distance"] == 2)
+
+
+def test_code_past_word_guard(run, tmp_path):
+    # 2^27 codewords but 262,657 scalar classes: answered, not refused
+    F = make_field(2, 9)
+    path = tmp_path / "gab.txt"
+    cd.write_code(path, cd.gabidulin(F, F.polynomial_basis(), 3))
+    rc, out, _ = run("code", "--file", str(path))
+    assert rc == 0
+    assert "min rank distance: 7" in out
+
+
 def test_macwilliams_spec_example(run, tmp_path):
     # the span of (1, alpha) over GF(4): A = B = (1, 0, 3)
     F = make_field(2, 2)

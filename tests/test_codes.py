@@ -91,19 +91,101 @@ def test_rank_distribution_examples():
     assert cd.min_rank_distance(cd.make_zero_code(F, 2)) is None
 
 
-@pytest.mark.parametrize("q,m,n,k", [(2, 3, 3, 2), (3, 2, 2, 1), (2, 4, 3, 2)])
+def scalar_distribution(code, weight):
+    """Independent oracle: weight(word) of every codeword, one at a time."""
+    counts = [0] * (code.n + 1)
+    for w in cd.codewords(code):
+        counts[weight(w)] += 1
+    return tuple(counts)
+
+
+def check_rank_distribution(C):
+    F, n = C.field, C.n
+    dist = cd.rank_distribution(C)
+    assert sum(dist) == C.size
+    assert dist[0] == 1
+    assert all(dist[i] == 0 for i in range(min(F.m, n) + 1, n + 1))
+    # oracle: rank every codeword with the scalar path
+    assert dist == scalar_distribution(C, lambda w: rg.rank(F, w))
+
+
+@pytest.mark.parametrize("q,m,n,k", [
+    (2, 3, 3, 2), (3, 2, 2, 1), (2, 4, 3, 2), (5, 2, 2, 1),
+    (2, 2, 3, 0), (3, 2, 2, 0),             # k = 0
+    (2, 2, 2, 2), (5, 1, 2, 2),             # k = n
+    (2, 2, 4, 2), (3, 2, 3, 2),             # n > m
+    (2, 1, 5, 3), (3, 1, 4, 2), (5, 1, 3, 2),  # m = 1
+])
 def test_rank_distribution_invariants(q, m, n, k):
     F = make_field(q, m)
-    for C in random_linear_codes(F, n, k, 3, seed=q * 100 + m):
-        dist = cd.rank_distribution(C)
-        assert sum(dist) == F.order ** k
-        assert dist[0] == 1
-        assert all(dist[i] == 0 for i in range(min(m, n) + 1, n + 1))
-        # oracle: rank every codeword with the scalar path
-        counts = [0] * (n + 1)
-        for w in cd.codewords(C):
-            counts[rg.rank(F, w)] += 1
-        assert dist == tuple(counts)
+    codes = [cd.make_zero_code(F, n)] if k == 0 else \
+        random_linear_codes(F, n, k, 3, seed=q * 100 + m)
+    for C in codes:
+        check_rank_distribution(C)
+
+
+@pytest.mark.parametrize("q,m,n,k", [(2, 4, 4, 2), (3, 3, 3, 2), (5, 2, 2, 1)])
+def test_rank_distribution_gabidulin(q, m, n, k):
+    F = make_field(q, m)
+    check_rank_distribution(cd.gabidulin(F, F.polynomial_basis()[:n], k))
+
+
+def mrd_distribution(q, m, n, d):
+    """Closed-form rank distribution of an MRD code with n <= m and minimum
+    distance d (Gabidulin 1985), from Gaussian binomials."""
+    def gauss(a, b):
+        out = 1
+        for i in range(b):
+            out = out * (q ** (a - i) - 1) // (q ** (i + 1) - 1)
+        return out
+    return (1,) + tuple(
+        0 if r < d else gauss(n, r) * sum(
+            (-1) ** j * q ** (j * (j - 1) // 2) * gauss(r, j)
+            * (q ** (m * (r - d - j + 1)) - 1)
+            for j in range(r - d + 1))
+        for r in range(1, n + 1))
+
+
+def test_rank_distribution_mrd_closed_form():
+    # the formula against the scalar oracle on small codes first
+    for q, m, n, k in [(2, 3, 3, 2), (2, 4, 3, 1), (3, 3, 3, 2)]:
+        F = make_field(q, m)
+        C = cd.gabidulin(F, F.polynomial_basis()[:n], k)
+        assert mrd_distribution(q, m, n, n - k + 1) == scalar_distribution(
+            C, lambda w: rg.rank(F, w))
+    # 2^27 codewords, past the guard on codewords but not on scalar classes
+    F = make_field(2, 9)
+    C = cd.gabidulin(F, F.polynomial_basis(), 3)
+    assert cd.rank_distribution(C) == mrd_distribution(2, 9, 9, 7)
+
+
+def test_rank_distribution_class_guard():
+    F = make_field(2, 8)
+    C = cd.gabidulin(F, F.polynomial_basis(), 4)
+    assert (F.order ** 4 - 1) // (F.order - 1) == 16_843_009 > rg.BRUTE_GUARD
+    with pytest.raises(ValueError, match="exceeds guard"):
+        cd.rank_distribution(C)
+
+
+@pytest.mark.parametrize("as_book", [False, True])
+def test_rank_distribution_ranks_one_word_per_class(monkeypatch, as_book):
+    F = make_field(3, 2)
+    C = random_linear_codes(F, 3, 2, 1, seed=11)[0]
+    expected = cd.rank_distribution(C)
+    if as_book:
+        C = cd.make_codebook(F, cd.codewords(C))
+    ranked = []
+    kernel = _batch.rank_words
+
+    def counting(field, words):
+        ranked.append(len(words))
+        return kernel(field, words)
+    monkeypatch.setattr(_batch, "rank_words", counting)
+    assert cd.rank_distribution(C) == expected
+    if as_book:
+        assert sum(ranked) == C.size == 81
+    else:
+        assert sum(ranked) == (F.order ** 2 - 1) // (F.order - 1) == 10
 
 
 def test_min_distance_nonlinear_pairs():
@@ -114,6 +196,17 @@ def test_min_distance_nonlinear_pairs():
     assert cd.min_rank_distance(book) == min(ds)
     single = cd.make_codebook(F, [(1, 1)])
     assert cd.min_rank_distance(single) is None
+
+
+@pytest.mark.parametrize("q,m,n,k", [(2, 3, 4, 2), (3, 2, 3, 2), (5, 1, 4, 2)])
+def test_hamming_distribution_against_per_word_count(q, m, n, k):
+    F = make_field(q, m)
+    hamming = lambda w: sum(1 for x in w if x)  # noqa: E731
+    for C in random_linear_codes(F, n, k, 3, seed=q * 7 + n):
+        assert cd.hamming_distribution(C) == scalar_distribution(C, hamming)
+    book = cd.make_codebook(F, [(0,) * n, (1,) + (0,) * (n - 1),
+                                (1,) * n, (0, 2 % F.order) + (1,) * (n - 2)])
+    assert cd.hamming_distribution(book) == scalar_distribution(book, hamming)
 
 
 def test_rank_vs_hamming_distance():
