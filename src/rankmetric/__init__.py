@@ -14,11 +14,10 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .ffield import Field, FieldElement, make_field, field_from_descriptor
+from .ffield import Field, make_field, field_from_descriptor
 
 __all__ = [
     "Field",
-    "FieldElement",
     "make_field",
     "field_from_descriptor",
     "__version__",

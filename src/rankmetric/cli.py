@@ -5,7 +5,9 @@ Subcommands::
     field rank ball els code gabidulin bounds
     table1 table2 macwilliams moments search verify
 
-Ranges are written "2..7" (inclusive).  Machine formats (csv, json) echo
+Ranges are written "2..7" (inclusive).  A reporting command computes its
+whole answer first and prints it through one emitter, ``emit``, so a
+command that fails leaves stdout empty.  Machine formats (csv, json) echo
 the fully resolved run configuration: CSV output starts with a versioned
 comment line ``# rankmetric-table v1 config: ...`` and JSON output carries
 a ``config`` object.  Plain text output stays minimal for human use.
@@ -18,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import bounds as bd
 from . import codes as cd
@@ -38,23 +39,18 @@ CSV_COLUMNS_2 = ("m", "n", "rho", "k_lower", "k_upper")
 # plumbing
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved run parameters; echoed into machine-format output."""
-    command: str
-    options: tuple  # sorted (key, value) pairs
-
-    def as_dict(self):
-        return {"command": self.command, **dict(self.options)}
-
-    def echo(self):
-        pairs = " ".join(f"{k}={v}" for k, v in self.options)
-        return f"command={self.command} {pairs}" if pairs else \
-            f"command={self.command}"
-
-
 def make_config(command, **options):
-    return RunConfig(command, tuple(sorted(options.items())))
+    """The resolved run parameters echoed into machine-format output."""
+    return {"command": command, **dict(sorted(options.items()))}
+
+
+def emit(args, cfg, payload, lines):
+    """Print the answer: payload as JSON under --format json, else lines."""
+    if args.format == "json":
+        print(json.dumps({"config": cfg, **payload}, sort_keys=True))
+    else:
+        for line in lines:
+            print(line)
 
 
 def parse_range(text):
@@ -90,6 +86,18 @@ def prime_power(text):
     return q
 
 
+def int_at_least(lo):
+    """argparse type: an integer >= lo."""
+    def parse(text):
+        v = int(text)
+        if v < lo:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer >= {lo}, got {text}")
+        return v
+    parse.__name__ = "int"  # argparse names it in "invalid int value: 'x'"
+    return parse
+
+
 def parse_vector(field, text):
     """Encodings of a vector over field; each must lie in [0, q^m)."""
     vec = parse_ints(text)
@@ -99,36 +107,24 @@ def parse_vector(field, text):
     return vec
 
 
-def emit_json(cfg, payload):
-    print(json.dumps({"config": cfg.as_dict(), **payload}, sort_keys=True))
-
-
-def csv_header(cfg, columns):
-    print(f"# {TABLE_VERSION} config: {cfg.echo()}")
-    print(",".join(columns))
-
-
 # ---------------------------------------------------------------------------
 # simple queries
 # ---------------------------------------------------------------------------
 
 def _field_from_args(args):
-    modulus = parse_ints(args.modulus) if getattr(args, "modulus", None) \
-        else None
+    modulus = parse_ints(args.modulus) if args.modulus else None
     return make_field(args.q, args.m, modulus)
 
 
 def cmd_field(args):
     F = _field_from_args(args)
-    cfg = make_config("field", q=F.q, m=F.m,
-                      modulus=" ".join(map(str, F.modulus)))
-    if args.format == "json":
-        emit_json(cfg, {"order": F.order, "descriptor": F.descriptor(),
-                        "polynomial_basis": list(F.polynomial_basis())})
-    else:
-        print(f"GF({F.q}^{F.m}), order {F.order}")
-        print(f"modulus: {' '.join(map(str, F.modulus))} (low to high)")
-        print(f"descriptor: {F.descriptor()}")
+    modulus = " ".join(map(str, F.modulus))
+    emit(args, make_config("field", q=F.q, m=F.m, modulus=modulus),
+         {"order": F.order, "descriptor": F.descriptor(),
+          "polynomial_basis": list(F.polynomial_basis())},
+         [f"GF({F.q}^{F.m}), order {F.order}",
+          f"modulus: {modulus} (low to high)",
+          f"descriptor: {F.descriptor()}"])
     return 0
 
 
@@ -146,39 +142,35 @@ def cmd_rank(args):
 
 
 def cmd_ball(args):
-    cfg = make_config("ball", q=args.q, m=args.m, n=args.n, r=args.r)
-    sphere, ball = rg.ball_counts(args.q, args.m, args.n, args.r)
-    lo, hi = rg.ball_volume_bounds(args.q, args.m, args.n, args.r)
-    if args.format == "json":
-        emit_json(cfg, {"sphere": sphere, "ball": ball,
-                        "lower": int(lo), "upper": float(hi)})
-    else:
-        print(f"sphere N_{args.r} = {sphere}")
-        print(f"ball   V_{args.r} = {ball}")
-        print(f"bounds {lo} <= V <= {hi}")
+    q, m, n, r = args.q, args.m, args.n, args.r
+    sphere, ball = rg.ball_counts(q, m, n, r)
+    lo, hi = rg.ball_volume_bounds(q, m, n, r)
+    emit(args, make_config("ball", q=q, m=m, n=n, r=r),
+         {"sphere": sphere, "ball": ball, "lower": int(lo),
+          "upper": float(hi)},
+         [f"sphere N_{r} = {sphere}", f"ball   V_{r} = {ball}",
+          f"bounds {lo} <= V <= {hi}"])
     return 0
 
 
 def cmd_els(args):
-    cfg = make_config("els", q=args.q, n=args.n,
-                      v="all" if args.v is None else args.v)
     dims = range(args.n + 1) if args.v is None else (args.v,)
     counts = {v: rg.gaussian(args.n, v, args.q) for v in dims}
-    if args.format == "json":
-        payload = {"counts": {str(v): c for v, c in counts.items()}}
-        if args.list:
-            payload["bases"] = {
-                str(v): [[list(r) for r in e.basis]
-                         for e in rg.enumerate_els(args.q, 1, args.n, v)]
-                for v in dims}
-        emit_json(cfg, payload)
-    else:
-        for v in dims:
-            print(f"dim {v}: {counts[v]} subspaces")
-            if args.list:
-                for e in rg.enumerate_els(args.q, 1, args.n, v):
-                    rows = "; ".join(" ".join(map(str, r)) for r in e.basis)
-                    print(f"  [{rows}]")
+    payload = {"counts": {str(v): c for v, c in counts.items()}}
+    bases = {}
+    if args.list:
+        bases = {v: [e.basis for e in rg.enumerate_els(args.q, 1, args.n, v)]
+                 for v in dims}
+        payload["bases"] = {str(v): [[list(r) for r in b] for b in bs]
+                            for v, bs in bases.items()}
+    lines = []
+    for v in dims:
+        lines.append(f"dim {v}: {counts[v]} subspaces")
+        lines += ["  [" + "; ".join(" ".join(map(str, r)) for r in b) + "]"
+                  for b in bases.get(v, ())]
+    emit(args, make_config("els", q=args.q, n=args.n,
+                           v="all" if args.v is None else args.v),
+         payload, lines)
     return 0
 
 
@@ -192,36 +184,24 @@ def cmd_code(args):
     if args.dual:
         sys.stdout.write(cd.format_code(cd.dual(code)))
         return 0
-    cfg = make_config("code", file=args.file, q=F.q, m=F.m,
-                      n=code.n, k=code.k)
     dist = cd.rank_distribution(code)
     d = next((r for r in range(1, code.n + 1) if dist[r]), None)
-    radius = None
-    radius_note = ""
+    payload = {"n": code.n, "k": code.k, "size": code.size,
+               "min_rank_distance": d, "rank_distribution": list(dist)}
+    lines = [f"(n, k) = ({code.n}, {code.k}) over GF({F.q}^{F.m}), "
+             f"size {code.size}",
+             f"min rank distance: {d}",
+             f"rank distribution: {tuple(dist)}"]
     if args.radius:
         try:
-            radius = cd.covering_radius(code)
+            radius = payload["covering_radius"] = cd.covering_radius(code)
+            lines.append(f"covering radius: {radius}")
         except ValueError as exc:  # guard trip: report and continue
-            radius_note = str(exc)
-    if args.format == "json":
-        payload = {"n": code.n, "k": code.k, "size": code.size,
-                   "min_rank_distance": d,
-                   "rank_distribution": list(dist)}
-        if args.radius:
-            payload["covering_radius"] = radius
-            if radius_note:
-                payload["covering_radius_skipped"] = radius_note
-        emit_json(cfg, payload)
-    else:
-        print(f"(n, k) = ({code.n}, {code.k}) over GF({F.q}^{F.m}), "
-              f"size {code.size}")
-        print(f"min rank distance: {d}")
-        print(f"rank distribution: {tuple(dist)}")
-        if args.radius:
-            if radius is not None:
-                print(f"covering radius: {radius}")
-            else:
-                print(f"covering radius: skipped ({radius_note})")
+            payload["covering_radius"] = None
+            payload["covering_radius_skipped"] = str(exc)
+            lines.append(f"covering radius: skipped ({exc})")
+    emit(args, make_config("code", file=args.file, q=F.q, m=F.m,
+                           n=code.n, k=code.k), payload, lines)
     return 0
 
 
@@ -232,16 +212,15 @@ def cmd_gabidulin(args):
     else:
         g = tuple(F.q ** i for i in range(args.n))  # polynomial basis slice
     code = cd.gabidulin(F, g, args.k, args.a)
+    ok = True
     if args.check:
         d = cd.min_rank_distance(code)
         mrd = cd.mrd_els_check(code)
         print(f"# min_rank_distance: {d} (Singleton: {code.n - code.k + 1})")
         print(f"# mrd_els_check: {mrd}")
-        if d != code.n - code.k + 1 or not mrd:
-            sys.stdout.write(cd.format_code(code))
-            return 2
+        ok = d == code.n - code.k + 1 and mrd
     sys.stdout.write(cd.format_code(code))
-    return 0
+    return 0 if ok else 2
 
 
 # ---------------------------------------------------------------------------
@@ -249,88 +228,70 @@ def cmd_gabidulin(args):
 # ---------------------------------------------------------------------------
 
 def cmd_bounds(args):
-    rep = bd.covering_report(args.q, args.m, args.n, args.rho)
-    mm, nn = max(args.m, args.n), min(args.m, args.n)
-    dims = bd.linear_dim_bounds(args.q, mm, nn, args.rho) \
-        if args.rho <= nn else (0, 0)
-    cfg = make_config("bounds", q=args.q, m=args.m, n=args.n, rho=args.rho)
-    if args.format == "json":
-        emit_json(cfg, {
-            "lower": rep.lower, "upper": rep.upper,
-            "best_lower": rep.best_lower, "lower_tag": rep.best_lower_tag,
-            "best_upper": rep.best_upper, "upper_tag": rep.best_upper_tag,
-            "exact": rep.exact, "summary": bd.format_report(rep),
-            "k_lower": dims[0], "k_upper": dims[1]})
-    else:
-        print(f"K_R({args.q}^{args.m}, {args.n}, {args.rho}): "
-              f"{bd.format_report(rep)}")
-        if rep.lower:
-            print("lower:", " ".join(f"{t}={v}" for t, v in
-                                     rep.lower.items() if v is not None))
-            print("upper:", " ".join(f"{t}={v}" for t, v in
-                                     rep.upper.items() if v is not None))
-        print(f"linear dimension k: {dims[0]}..{dims[1]}")
+    q, m, n, rho = args.q, args.m, args.n, args.rho
+    rep = bd.covering_report(q, m, n, rho)
+    dims = bd.linear_dim_bounds(q, max(m, n), min(m, n), rho) \
+        if rho <= min(m, n) else (0, 0)
+    summary = bd.format_report(rep)
+    lines = [f"K_R({q}^{m}, {n}, {rho}): {summary}"]
+    if rep.lower:
+        lines += [f"{side}: " + " ".join(f"{t}={v}" for t, v in vals.items()
+                                         if v is not None)
+                  for side, vals in (("lower", rep.lower),
+                                     ("upper", rep.upper))]
+    lines.append(f"linear dimension k: {dims[0]}..{dims[1]}")
+    emit(args, make_config("bounds", q=q, m=m, n=n, rho=rho), {
+        "lower": rep.lower, "upper": rep.upper,
+        "best_lower": rep.best_lower, "lower_tag": rep.best_lower_tag,
+        "best_upper": rep.best_upper, "upper_tag": rep.best_upper_tag,
+        "exact": rep.exact, "summary": summary,
+        "k_lower": dims[0], "k_upper": dims[1]}, lines)
     return 0
 
 
-def _cell_str(value):
-    return "" if value is None else str(value)
-
-
-def cmd_table1(args):
+def _grid(args):
+    """A table command's (m, n, rho) ranges and its config echo."""
     m_range = parse_range(args.m)
     n_range = parse_range(args.n) if args.n else m_range
     rho_range = parse_range(args.rho)
-    cfg = make_config("table1", q=args.q, m=echo_range(m_range),
+    cfg = make_config(args.command, q=args.q, m=echo_range(m_range),
                       n=echo_range(n_range), rho=echo_range(rho_range),
                       format=args.format)
-    table = bd.covering_table(args.q, m_range, n_range, rho_range)
-    cells = sorted(table)
-    if args.format == "json":
-        rows = []
-        for key in cells:
-            rep = table[key]
-            rows.append({"m": rep.m, "n": rep.n, "rho": rep.rho,
-                         "lower": rep.lower, "upper": rep.upper,
-                         "best_lower": rep.best_lower,
-                         "lower_tag": rep.best_lower_tag,
-                         "best_upper": rep.best_upper,
-                         "upper_tag": rep.best_upper_tag,
-                         "exact": rep.exact})
-        emit_json(cfg, {"cells": rows})
-        return 0
-    csv_header(cfg, CSV_COLUMNS_1)
-    for key in cells:
-        rep = table[key]
-        row = [rep.m, rep.n, rep.rho]
-        row += [_cell_str(rep.lower.get(t)) for t in bd.LOWER_TAGS]
-        row += [_cell_str(rep.upper.get(t)) for t in bd.UPPER_TAGS]
-        row += [rep.best_lower, _cell_str(rep.best_lower_tag),
-                rep.best_upper, _cell_str(rep.best_upper_tag)]
-        print(",".join(str(x) for x in row))
+    return (m_range, n_range, rho_range), cfg
+
+
+def _csv(cfg, columns, rows):
+    """CSV lines: the config comment, the header, then rows with None
+    cells left empty."""
+    echo = " ".join(f"{k}={v}" for k, v in cfg.items())
+    return [f"# {TABLE_VERSION} config: {echo}", ",".join(columns)] + [
+        ",".join("" if x is None else str(x) for x in row) for row in rows]
+
+
+def cmd_table1(args):
+    ranges, cfg = _grid(args)
+    table = bd.covering_table(args.q, *ranges)
+    reps = [table[key] for key in sorted(table)]
+    cells = [{"m": rep.m, "n": rep.n, "rho": rep.rho,
+              "lower": rep.lower, "upper": rep.upper,
+              "best_lower": rep.best_lower, "lower_tag": rep.best_lower_tag,
+              "best_upper": rep.best_upper, "upper_tag": rep.best_upper_tag,
+              "exact": rep.exact} for rep in reps]
+    rows = [[rep.m, rep.n, rep.rho]
+            + [rep.lower.get(t) for t in bd.LOWER_TAGS]
+            + [rep.upper.get(t) for t in bd.UPPER_TAGS]
+            + [rep.best_lower, rep.best_lower_tag,
+               rep.best_upper, rep.best_upper_tag] for rep in reps]
+    emit(args, cfg, {"cells": cells}, _csv(cfg, CSV_COLUMNS_1, rows))
     return 0
 
 
 def cmd_table2(args):
-    m_range = parse_range(args.m)
-    n_range = parse_range(args.n) if args.n else m_range
-    rho_range = parse_range(args.rho)
-    cfg = make_config("table2", q=args.q, m=echo_range(m_range),
-                      n=echo_range(n_range), rho=echo_range(rho_range),
-                      format=args.format)
-    table = bd.dimension_table(args.q, m_range, n_range, rho_range)
-    cells = sorted(table)
-    if args.format == "json":
-        rows = [{"m": m, "n": n, "rho": rho,
-                 "k_lower": table[(m, n, rho)][0],
-                 "k_upper": table[(m, n, rho)][1]}
-                for m, n, rho in cells]
-        emit_json(cfg, {"cells": rows})
-        return 0
-    csv_header(cfg, CSV_COLUMNS_2)
-    for m, n, rho in cells:
-        lo, hi = table[(m, n, rho)]
-        print(f"{m},{n},{rho},{lo},{hi}")
+    ranges, cfg = _grid(args)
+    table = bd.dimension_table(args.q, *ranges)
+    rows = [key + table[key] for key in sorted(table)]
+    cells = [dict(zip(CSV_COLUMNS_2, row)) for row in rows]
+    emit(args, cfg, {"cells": cells}, _csv(cfg, CSV_COLUMNS_2, rows))
     return 0
 
 
@@ -366,35 +327,30 @@ def cmd_macwilliams(args):
     A = _enumerator_from_args(args)
     B = we.macwilliams(A, method=args.method)
     k = we._code_dimension(A)
-    cfg = make_config("macwilliams", q=A.q, m=A.m, n=A.n, k=k,
-                      method=args.method,
-                      source=args.code or f"dist:{args.dist}")
-    if args.format == "json":
-        checks, ok = _moment_checks(A, B, k)
-        emit_json(cfg, {"A": list(A.coeffs), "B": list(B.coeffs),
-                        "moment_checks": checks, "ok": ok})
-        return 0 if ok else 2
-    print(f"A = {A.coeffs}")
-    print(f"B = {B.coeffs}")
-    return 0
+    # the text form prints A and B only, so it checks no moments
+    checks, ok = _moment_checks(A, B, k) if args.format == "json" \
+        else ([], True)
+    emit(args, make_config("macwilliams", q=A.q, m=A.m, n=A.n, k=k,
+                           method=args.method,
+                           source=args.code or f"dist:{args.dist}"),
+         {"A": list(A.coeffs), "B": list(B.coeffs),
+          "moment_checks": checks, "ok": ok},
+         [f"A = {A.coeffs}", f"B = {B.coeffs}"])
+    return 0 if ok else 2
 
 
 def cmd_moments(args):
     code = cd.read_code(args.code)
     A = we.code_enumerator(code)
     B = we.code_enumerator(cd.dual(code))
-    cfg = make_config("moments", file=args.code, q=A.q, m=A.m, n=A.n,
-                      k=code.k)
     checks, ok = _moment_checks(A, B, code.k)
-    if args.format == "json":
-        emit_json(cfg, {"A": list(A.coeffs), "B": list(B.coeffs),
-                        "checks": checks, "ok": ok})
-    else:
-        for c in checks:
-            (l1, r1), (l2, r2) = c["packing"], c["shell"]
-            state = "ok" if c["ok"] else "FAIL"
-            print(f"nu {c['nu']}: packing {l1} == {r1}; shell {l2} == {r2} "
-                  f"[{state}]")
+    emit(args, make_config("moments", file=args.code, q=A.q, m=A.m, n=A.n,
+                           k=code.k),
+         {"A": list(A.coeffs), "B": list(B.coeffs), "checks": checks,
+          "ok": ok},
+         [f"nu {c['nu']}: packing {' == '.join(c['packing'])}; "
+          f"shell {' == '.join(c['shell'])} [{'ok' if c['ok'] else 'FAIL'}]"
+          for c in checks])
     return 0 if ok else 2
 
 
@@ -402,57 +358,41 @@ def cmd_moments(args):
 # search
 # ---------------------------------------------------------------------------
 
-def _codebook_block(q, m, n, words):
-    F = make_field(q, m)
-    mod = " ".join(map(str, F.modulus))
-    lines = [f"# codebook q={q} m={m} n={n} size={len(words)} modulus={mod}"]
-    lines += [" ".join(map(str, w)) for w in words]
-    return "\n".join(lines)
+# the options each search kind needs; they are also its config echo
+SEARCH_NEEDS = {"covering": ("rho", "K"), "greedy": ("rho",),
+                "maxcode": ("d",)}
+
+
+def _codebook_lines(q, m, n, words):
+    mod = " ".join(map(str, make_field(q, m).modulus))
+    return ([f"# codebook q={q} m={m} n={n} size={len(words)} modulus={mod}"]
+            + [" ".join(map(str, w)) for w in words])
 
 
 def cmd_search(args):
-    max_nodes = args.budget or oc.MAX_NODES
-    if args.what == "covering":
-        if args.rho is None or args.K is None:
-            raise ValueError("covering search needs --rho and --K")
-        dec = oc.exhaustive_min_covering(args.q, args.m, args.n, args.rho,
-                                         args.K, max_nodes=max_nodes)
-        cfg = make_config("search", what="covering", q=args.q, m=args.m,
-                          n=args.n, rho=args.rho, K=args.K)
-        if args.format == "json":
-            emit_json(cfg, {"exists": dec.exists,
-                            "witness": [list(w) for w in dec.witness]
-                            if dec.witness else None})
-        else:
-            print(f"exists: {'true' if dec.exists else 'false'}")
-            if dec.witness:
-                print(_codebook_block(args.q, args.m, args.n, dec.witness))
-        return 0
-    if args.what == "greedy":
-        if args.rho is None:
-            raise ValueError("greedy search needs --rho")
-        book = oc.greedy_covering(args.q, args.m, args.n, args.rho)
-        cfg = make_config("search", what="greedy", q=args.q, m=args.m,
-                          n=args.n, rho=args.rho)
-        if args.format == "json":
-            emit_json(cfg, {"size": book.size,
-                            "words": [list(w) for w in book.words]})
-        else:
-            print(_codebook_block(args.q, args.m, args.n, book.words))
-        return 0
-    if args.what == "maxcode":
-        if args.d is None:
-            raise ValueError("maxcode search needs --d")
-        val = oc.max_code_search(args.q, args.m, args.n, args.d,
-                                 max_nodes=max_nodes)
-        cfg = make_config("search", what="maxcode", q=args.q, m=args.m,
-                          n=args.n, d=args.d)
-        if args.format == "json":
-            emit_json(cfg, {"value": val})
-        else:
-            print(val)
-        return 0
-    raise ValueError(f"unknown search kind {args.what!r}")
+    q, m, n, what = args.q, args.m, args.n, args.what
+    needs = {name: getattr(args, name) for name in SEARCH_NEEDS[what]}
+    if None in needs.values():
+        raise ValueError(f"{what} search needs "
+                         + " and ".join(f"--{name}" for name in needs))
+    if what == "covering":
+        dec = oc.exhaustive_min_covering(q, m, n, args.rho, args.K,
+                                         max_nodes=args.budget)
+        payload = {"exists": dec.exists, "witness": [
+            list(w) for w in dec.witness] if dec.witness else None}
+        lines = [f"exists: {'true' if dec.exists else 'false'}"]
+        if dec.witness:
+            lines += _codebook_lines(q, m, n, dec.witness)
+    elif what == "greedy":
+        book = oc.greedy_covering(q, m, n, args.rho)
+        payload = {"size": book.size, "words": [list(w) for w in book.words]}
+        lines = _codebook_lines(q, m, n, book.words)
+    else:
+        val = oc.max_code_search(q, m, n, args.d, max_nodes=args.budget)
+        payload, lines = {"value": val}, [val]
+    emit(args, make_config("search", what=what, q=q, m=m, n=n, **needs),
+         payload, lines)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +544,12 @@ def _add_format(p, default="text", choices=("text", "json")):
     p.add_argument("--format", default=default, choices=choices)
 
 
+def _add_ints(p, *names, **types):
+    """Required integer options --name, of type types.get(name, int)."""
+    for name in names:
+        p.add_argument(f"--{name}", type=types.get(name, int), required=True)
+
+
 def build_parser():
     top = argparse.ArgumentParser(
         prog="rankmetric",
@@ -611,30 +557,26 @@ def build_parser():
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("field", help="field summary")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    _add_ints(p, "q", "m")
     p.add_argument("--modulus")
     _add_format(p)
     p.set_defaults(func=cmd_field)
 
     p = sub.add_parser("rank", help="rank weight / rank distance")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    _add_ints(p, "q", "m")
     p.add_argument("--modulus")
     p.add_argument("--vec", required=True)
     p.add_argument("--vec2")
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("ball", help="sphere/ball sizes and bounds")
-    p.add_argument("--q", type=prime_power, required=True)
-    for name in ("m", "n", "r"):
-        p.add_argument(f"--{name}", type=int, required=True)
+    _add_ints(p, "q", "m", "n", "r", q=prime_power, m=int_at_least(1),
+              n=int_at_least(1))
     _add_format(p)
     p.set_defaults(func=cmd_ball)
 
     p = sub.add_parser("els", help="elementary linear subspace counts")
-    p.add_argument("--q", type=prime_power, required=True)
-    p.add_argument("--n", type=int, required=True)
+    _add_ints(p, "q", "n", q=prime_power, n=int_at_least(0))
     p.add_argument("--v", type=int)
     p.add_argument("--list", action="store_true")
     _add_format(p)
@@ -650,8 +592,7 @@ def build_parser():
     p.set_defaults(func=cmd_code)
 
     p = sub.add_parser("gabidulin", help="emit a Gabidulin code file")
-    for name in ("q", "m", "n", "k"):
-        p.add_argument(f"--{name}", type=int, required=True)
+    _add_ints(p, "q", "m", "n", "k")
     p.add_argument("--a", type=int, default=1,
                    help="Frobenius power parameter (coprime to m)")
     p.add_argument("--g", help="evaluation points (encodings)")
@@ -660,27 +601,20 @@ def build_parser():
     p.set_defaults(func=cmd_gabidulin)
 
     p = sub.add_parser("bounds", help="covering bounds for one cell")
-    p.add_argument("--q", type=prime_power, required=True)
-    for name in ("m", "n", "rho"):
-        p.add_argument(f"--{name}", type=int, required=True)
+    _add_ints(p, "q", "m", "n", "rho", q=prime_power)
     _add_format(p)
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("table1", help="covering bound table (CSV/JSON)")
-    p.add_argument("--q", type=prime_power, default=2)
-    p.add_argument("--m", default="2..7")
-    p.add_argument("--n", help="defaults to the m range")
-    p.add_argument("--rho", default="1..6")
-    _add_format(p, default="csv", choices=("csv", "json"))
-    p.set_defaults(func=cmd_table1)
-
-    p = sub.add_parser("table2", help="linear dimension table (CSV/JSON)")
-    p.add_argument("--q", type=prime_power, default=2)
-    p.add_argument("--m", default="4..8")
-    p.add_argument("--n", help="defaults to the m range")
-    p.add_argument("--rho", default="2..6")
-    _add_format(p, default="csv", choices=("csv", "json"))
-    p.set_defaults(func=cmd_table2)
+    for name, what, m, rho, func in (
+            ("table1", "covering bound", "2..7", "1..6", cmd_table1),
+            ("table2", "linear dimension", "4..8", "2..6", cmd_table2)):
+        p = sub.add_parser(name, help=f"{what} table (CSV/JSON)")
+        p.add_argument("--q", type=prime_power, default=2)
+        p.add_argument("--m", default=m)
+        p.add_argument("--n", help="defaults to the m range")
+        p.add_argument("--rho", default=rho)
+        _add_format(p, default="csv", choices=("csv", "json"))
+        p.set_defaults(func=func)
 
     p = sub.add_parser("macwilliams",
                        help="rank weight distribution of the dual")
@@ -699,14 +633,12 @@ def build_parser():
     p.set_defaults(func=cmd_moments)
 
     p = sub.add_parser("search", help="exhaustive/greedy/packing search")
-    p.add_argument("--what", required=True,
-                   choices=("covering", "greedy", "maxcode"))
-    for name in ("q", "m", "n"):
-        p.add_argument(f"--{name}", type=int, required=True)
-    p.add_argument("--rho", type=int)
-    p.add_argument("--K", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--budget", type=int, help="search node budget")
+    p.add_argument("--what", required=True, choices=tuple(SEARCH_NEEDS))
+    _add_ints(p, "q", "m", "n")
+    for name in ("rho", "K", "d"):
+        p.add_argument(f"--{name}", type=int)
+    p.add_argument("--budget", type=int_at_least(1), default=oc.MAX_NODES,
+                   help="search node budget")
     _add_format(p)
     p.set_defaults(func=cmd_search)
 

@@ -332,13 +332,14 @@ def transpose_code(code):
     F, n = code.field, code.n
     if F.order ** n > BRUTE_GUARD:
         raise ValueError("ambient exceeds guard")
-    out_field = make_field(F.q, n)
+    digits = _batch.digits_table(F)
+    scale = F.q ** np.arange(n, dtype=np.int64)
     words = []
-    for w in codewords(code):
-        mat = F.expand(w)  # m x n over GF(q)
-        transposed = [[mat[i][j] for i in range(F.m)] for j in range(n)]
-        words.append(out_field.reassemble(transposed))
-    return make_codebook(out_field, words)
+    for chunk in _word_chunks(code):
+        # digits[chunk][w, j, i] is entry (i, j) of word w's expansion; row i
+        # becomes symbol i of the transposed word
+        words += (digits[chunk].transpose(0, 2, 1) @ scale).tolist()
+    return make_codebook(make_field(F.q, n), words)
 
 
 def embed_code(code, target_m):

@@ -118,8 +118,7 @@ def default_modulus(q, m):
 class Field:
     """GF(q^m): arithmetic on integer-encoded elements.
 
-    All arithmetic methods take and return plain ints; ``element`` wraps one
-    in a FieldElement for operator syntax.
+    All arithmetic methods take and return plain ints.
     """
 
     def __init__(self, q, m, modulus=None):
@@ -373,9 +372,6 @@ class Field:
 
     # -- misc ------------------------------------------------------------------
 
-    def element(self, value):
-        return FieldElement(self, value % self.order)
-
     def polynomial_basis(self):
         """(1, alpha, ..., alpha^(m-1)): encodings are the powers of q."""
         return tuple(self.q ** k for k in range(self.m))
@@ -418,9 +414,16 @@ def make_field(q, m, modulus=None):
     """Construct GF(q^m); modulus defaults to the smallest monic irreducible.
 
     Fields are immutable, so repeated calls with the same parameters return
-    the same object (log/antilog tables are built once).
+    the same object (log/antilog tables are built once).  An explicit modulus
+    equal to the default counts as none, so a field read back from a code
+    file or a descriptor is the object make_field(q, m) returns.
     """
-    return _field_cached(q, m, None if modulus is None else tuple(modulus))
+    if modulus is not None:
+        modulus = tuple(modulus)
+        # other q and m are left for Field to reject with its message
+        if q in SUPPORTED_Q and m >= 1 and modulus == default_modulus(q, m):
+            modulus = None
+    return _field_cached(q, m, modulus)
 
 
 def field_from_descriptor(text):
@@ -430,71 +433,5 @@ def field_from_descriptor(text):
         raise ValueError("descriptor needs at least q and m")
     q, m = parts[0], parts[1]
     rest = parts[2:]
-    return Field(q, m, rest if rest else None)
+    return make_field(q, m, rest if rest else None)
 
-
-class FieldElement:
-    """Operator-syntax wrapper around an integer-encoded element."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field, value):
-        self.field = field
-        self.value = value
-
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ValueError("elements from different fields")
-            return other.value
-        return int(other) % self.field.order
-
-    def __add__(self, other):
-        return FieldElement(self.field, self.field.add(self.value, self._coerce(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return FieldElement(self.field, self.field.sub(self.value, self._coerce(other)))
-
-    def __rsub__(self, other):
-        return FieldElement(self.field, self.field.sub(self._coerce(other), self.value))
-
-    def __mul__(self, other):
-        return FieldElement(self.field, self.field.mul(self.value, self._coerce(other)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return FieldElement(self.field, self.field.div(self.value, self._coerce(other)))
-
-    def __rtruediv__(self, other):
-        return FieldElement(self.field, self.field.div(self._coerce(other), self.value))
-
-    def __pow__(self, e):
-        return FieldElement(self.field, self.field.pow(self.value, e))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.value))
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.value)
-
-    def __int__(self):
-        return self.value
-
-    def frobenius(self, a=1):
-        return FieldElement(self.field, self.field.frobenius(self.value, a))
-
-    def trace(self):
-        return self.field.trace(self.value)
-
-    def __repr__(self):
-        return f"<{_poly_str(self.field.digits(self.value), 'a')} in GF({self.field.q}^{self.field.m})>"

@@ -330,3 +330,106 @@ def test_table1_matches_golden_file(run, q, m, rho, golden):
     rc, out, _ = run("table1", "--q", str(q), "--m", m, "--rho", rho)
     assert rc == 0
     assert out == (DATA / golden).read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ("search", "--what", "maxcode", "--q", "2", "--m", "2", "--n", "2",
+     "--d", "2", "--budget", "0"),
+    ("search", "--what", "maxcode", "--q", "2", "--m", "2", "--n", "2",
+     "--d", "2", "--budget", "-5"),
+    ("ball", "--q", "2", "--m", "0", "--n", "2", "--r", "0"),
+    ("ball", "--q", "2", "--m", "2", "--n", "0", "--r", "0"),
+    ("els", "--q", "2", "--n", "-1"),
+], ids=["budget-0", "budget-negative", "ball-m-0", "ball-n-0",
+        "els-n-negative"])
+def test_bad_integers_exit_1(run, argv):
+    # a zero budget once meant the default one, and a negative budget or an
+    # empty field or ambient once printed an answer
+    rc, out, err = run(*argv)
+    assert (rc, out) == (1, "")
+    assert "must be an integer >=" in err
+
+
+def test_failing_command_prints_nothing(run):
+    rc, out, err = run("els", "--q", "2", "--n", "3", "--v", "5", "--list")
+    assert (rc, out) == (1, "")
+    assert err == "error: dimension 5 outside [0, 3]\n"
+
+
+GAB_2332 = "2 3 3 2 1 1 0 1\n1 2 4\n1 4 6\n"  # gabidulin (2,3,3,2)
+
+# exact stdout of each command; @FILE@ stands for the GAB_2332 code file
+EXACT_OUTPUT = [
+    ("field --q 2 --m 4",
+     "GF(2^4), order 16\nmodulus: 1 1 0 0 1 (low to high)\n"
+     "descriptor: 2 4 1 1 0 0 1\n"),
+    ("ball --q 2 --m 3 --n 3 --r 1",
+     "sphere N_1 = 49\nball   V_1 = 50\n"
+     "bounds 32 <= V <= 110.807891822562\n"),
+    ("ball --q 2 --m 3 --n 3 --r 1 --format json",
+     '{"ball": 50, "config": {"command": "ball", "m": 3, "n": 3, "q": 2, '
+     '"r": 1}, "lower": 32, "sphere": 49, "upper": 110.80789182256204}\n'),
+    ("els --q 2 --n 3 --list",
+     "dim 0: 1 subspaces\n  []\ndim 1: 7 subspaces\n  [1 0 0]\n  [1 0 1]\n"
+     "  [1 1 0]\n  [1 1 1]\n  [0 1 0]\n  [0 1 1]\n  [0 0 1]\n"
+     "dim 2: 7 subspaces\n  [1 0 0; 0 1 0]\n  [1 0 0; 0 1 1]\n"
+     "  [1 0 1; 0 1 0]\n  [1 0 1; 0 1 1]\n  [1 0 0; 0 0 1]\n"
+     "  [1 1 0; 0 0 1]\n  [0 1 0; 0 0 1]\n"
+     "dim 3: 1 subspaces\n  [1 0 0; 0 1 0; 0 0 1]\n"),
+    ("els --q 2 --n 3 --list --format json",
+     '{"bases": {"0": [[]], "1": [[[1, 0, 0]], [[1, 0, 1]], [[1, 1, 0]], '
+     '[[1, 1, 1]], [[0, 1, 0]], [[0, 1, 1]], [[0, 0, 1]]], '
+     '"2": [[[1, 0, 0], [0, 1, 0]], [[1, 0, 0], [0, 1, 1]], '
+     '[[1, 0, 1], [0, 1, 0]], [[1, 0, 1], [0, 1, 1]], '
+     '[[1, 0, 0], [0, 0, 1]], [[1, 1, 0], [0, 0, 1]], '
+     '[[0, 1, 0], [0, 0, 1]]], "3": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]]}, '
+     '"config": {"command": "els", "n": 3, "q": 2, "v": "all"}, '
+     '"counts": {"0": 1, "1": 7, "2": 7, "3": 1}}\n'),
+    ("bounds --q 2 --m 6 --n 6 --rho 2",
+     "K_R(2^6, 6, 2): c 27065-424990 E\n"
+     "lower: a=26983 b=26988 c=27065\n"
+     "upper: A=16777216 B=16777216 C=1048576 D=673301 E=424990\n"
+     "linear dimension k: 3..4\n"),
+    ("code --file @FILE@ --radius",
+     "(n, k) = (3, 2) over GF(2^3), size 64\nmin rank distance: 2\n"
+     "rank distribution: (1, 0, 49, 14)\ncovering radius: 1\n"),
+    ("code --file @FILE@ --radius --format json",
+     '{"config": {"command": "code", "file": "@FILE@", "k": 2, "m": 3, '
+     '"n": 3, "q": 2}, "covering_radius": 1, "k": 2, '
+     '"min_rank_distance": 2, "n": 3, "rank_distribution": [1, 0, 49, 14], '
+     '"size": 64}\n'),
+    ("macwilliams --code @FILE@", "A = (1, 0, 49, 14)\nB = (1, 0, 0, 7)\n"),
+    ("moments --code @FILE@",
+     "nu 0: packing 64 == 64; shell 64 == 64 [ok]\n"
+     "nu 1: packing 56 == 56; shell 392 == 392 [ok]\n"
+     "nu 2: packing 7 == 7; shell 294 == 294 [ok]\n"
+     "nu 3: packing 1 == 1; shell 14 == 14 [ok]\n"),
+    ("search --what greedy --q 2 --m 2 --n 2 --rho 1",
+     "# codebook q=2 m=2 n=2 size=3 modulus=1 1 1\n0 0\n1 0\n2 0\n"),
+    ("search --what covering --q 2 --m 2 --n 2 --rho 1 --K 3",
+     "exists: true\n"
+     "# codebook q=2 m=2 n=2 size=3 modulus=1 1 1\n0 0\n1 0\n2 0\n"),
+    ("search --what maxcode --q 2 --m 2 --n 2 --d 2", "4\n"),
+]
+
+
+@pytest.mark.parametrize("argv,expected", EXACT_OUTPUT,
+                         ids=[a for a, _ in EXACT_OUTPUT])
+def test_exact_output(run, tmp_path, argv, expected):
+    path = tmp_path / "gab.code"
+    path.write_text(GAB_2332)
+    rc, out, _ = run(*argv.replace("@FILE@", str(path)).split())
+    assert rc == 0
+    assert out == expected.replace("@FILE@", str(path))
+
+
+@pytest.mark.parametrize("argv,comment", [
+    ("table1 --q 3 --m 2..4 --n 3 --rho 1..2",
+     "command=table1 format=csv m=2..4 n=3 q=3 rho=1..2"),
+    ("table2 --q 2 --m 4..8",
+     "command=table2 format=csv m=4..8 n=4..8 q=2 rho=2..6"),
+], ids=["table1", "table2"])
+def test_table_config_line(run, argv, comment):
+    rc, out, _ = run(*argv.split())
+    assert rc == 0
+    assert out.splitlines()[0] == f"# rankmetric-table v1 config: {comment}"

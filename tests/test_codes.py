@@ -464,6 +464,32 @@ def test_transpose_code():
         cd.covering_radius(G31) == 2
 
 
+def transpose_by_expansion(code):
+    """Reference: expand each word to its m x n matrix over GF(q), transpose
+    it and reassemble the n x m matrix over GF(q^n), one word at a time."""
+    F, n = code.field, code.n
+    out = make_field(F.q, n)
+    words = []
+    for w in cd.codewords(code):
+        mat = F.expand(w)
+        words.append(out.reassemble([[mat[i][j] for i in range(F.m)]
+                                     for j in range(n)]))
+    return cd.make_codebook(out, words)
+
+
+@pytest.mark.parametrize("q,m,n,k", [(2, 4, 4, 2), (3, 3, 2, 1),
+                                     (5, 2, 3, 1), (2, 3, 5, 2),
+                                     (3, 2, 3, 2)])
+def test_transpose_code_against_expansion(q, m, n, k):
+    F = make_field(q, m)
+    for code in random_linear_codes(F, n, k, 2, seed=q * 100 + m * 10 + n):
+        T = cd.transpose_code(code)
+        assert T == transpose_by_expansion(code)
+        assert (T.field.m, T.n) == (n, m)
+        book = cd.make_codebook(F, list(cd.codewords(code))[::3])
+        assert cd.transpose_code(book) == transpose_by_expansion(book)
+
+
 def test_embed_code():
     F4 = make_field(2, 2)
     C = cd.gabidulin(F4, F4.polynomial_basis(), 1)  # (2,1) MRD, rho = 1

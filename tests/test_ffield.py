@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from rankmetric.ffield import (
     Field,
-    FieldElement,
     default_modulus,
     field_from_descriptor,
     is_irreducible,
@@ -276,9 +275,11 @@ def test_coords_against_definition():
 def test_descriptor_roundtrip():
     for q, m in [(2, 1), (2, 4), (3, 3), (5, 2)]:
         F = make_field(q, m)
-        assert field_from_descriptor(F.descriptor()) == F
+        assert field_from_descriptor(F.descriptor()) is F
     G = field_from_descriptor("2 2 1 1 1")
     assert G.q == 2 and G.m == 2 and G.modulus == (1, 1, 1)
+    H = field_from_descriptor("2 3 1 0 1 1")  # x^3 + x^2 + 1, not the default
+    assert H is make_field(2, 3, (1, 0, 1, 1)) and H != make_field(2, 3)
 
 
 def test_is_prime_power_against_trial_division():
@@ -290,26 +291,6 @@ def test_is_prime_power_against_trial_division():
     assert all(is_prime_power(q) == by_division(q) for q in range(-3, 3000))
     assert is_prime_power(3 ** 200) and is_prime_power((2 ** 61 - 1) ** 3)
     assert not is_prime_power((2 ** 61 - 1) * (2 ** 31 - 1))
-
-
-def test_field_element_wrapper():
-    F = make_field(2, 2)
-    a = F.element(2)
-    assert (a + 1).value == 3
-    assert (a * a).value == 3
-    assert (a / a).value == 1
-    assert (a**3).value == 1
-    assert (-a).value == 2
-    assert a.trace() == 1
-    assert a.frobenius().value == 3
-    assert a == 2 and a == F.element(2)
-    assert "GF(2^2)" in repr(a)
-
-
-def test_field_element_hash_matches_int_equality():
-    F = make_field(2, 2)
-    assert F.element(3) == 3 and hash(F.element(3)) == hash(3)
-    assert 3 in {F.element(3)} and F.element(3) in {3}
 
 
 def test_pow_edge_cases():
