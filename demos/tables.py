@@ -2,8 +2,8 @@
 
 Walks the covering-bound machinery over the q = 2 grid, prints the best
 lower/upper bounds on K_R(2^m, n, rho) with their bound tags, then the
-dimension bounds for linear covering codes, and finally settles the one
-cell small enough for exhaustive search.
+dimension bounds for linear covering codes, and finally settles three
+open cells by exhaustive search.
 
 Run:  python3 demos/tables.py
 """
@@ -42,10 +42,13 @@ for m in range(4, 9):
         print(f"m={m} n={n}   " + "   ".join(row))
 print()
 
-print("The smallest open cell, K_R(2^2, 2, 1) in [3, 4], settles to 3:")
-print(f"  covering with 2 balls: "
-      f"{oc.exhaustive_min_covering(2, 2, 2, 1, 2).exists}")
-dec = oc.exhaustive_min_covering(2, 2, 2, 1, 3)
-print(f"  covering with 3 balls: {dec.exists}, witness {dec.witness}")
-print(f"  witness re-verified by scan: "
-      f"{oc.is_covering(2, 2, 2, dec.witness, 1)}")
+print("Exhaustive search settles three open cells of the q = 2 table:")
+for m, n, rho in ((2, 2, 1), (4, 2, 1), (3, 3, 2)):
+    lo, hi = table[(m, n, rho)].interval()
+    for K in range(lo, hi + 1):
+        dec = oc.exhaustive_min_covering(2, m, n, rho, K)
+        if dec.exists:
+            break
+    print(f"  K_R(2^{m}, {n}, {rho}) in [{lo}, {hi}] is {K}: no covering "
+          f"with {K - 1} balls; witness re-verified by scan: "
+          f"{oc.is_covering(2, m, n, dec.witness, rho)}")

@@ -154,6 +154,8 @@ def cmd_ball(args):
 
 
 def cmd_els(args):
+    if args.v is not None and not 0 <= args.v <= args.n:
+        raise ValueError(f"dimension {args.v} outside [0, {args.n}]")
     dims = range(args.n + 1) if args.v is None else (args.v,)
     counts = {v: rg.gaussian(args.n, v, args.q) for v in dims}
     payload = {"counts": {str(v): c for v, c in counts.items()}}
@@ -254,6 +256,8 @@ def _grid(args):
     m_range = parse_range(args.m)
     n_range = parse_range(args.n) if args.n else m_range
     rho_range = parse_range(args.rho)
+    if min(m_range.start, n_range.start) < 1 or rho_range.start < 0:
+        raise ValueError("need m, n >= 1 and rho >= 0")
     cfg = make_config(args.command, q=args.q, m=echo_range(m_range),
                       n=echo_range(n_range), rho=echo_range(rho_range),
                       format=args.format)

@@ -1,11 +1,22 @@
 """Brute-force search oracles for covering and packing claims.
 
 Everything here is independent of the closed-form machinery on purpose:
-searches run over integer-encoded vectors with bitmask set arithmetic and
-certify their own output, so they can cross-check the bound and geometry
-modules at desk scales.  Budgets keep every search sound — an answer, when
-returned, is exact; a search that would blow its budget raises
-InconclusiveSearch instead of guessing.
+searches run over integer-encoded vectors with numpy arrays or bitmask set
+arithmetic and certify their own output, so they can cross-check the bound
+and geometry modules at desk scales.  Budgets keep every search sound — an
+answer, when returned, is exact; a search that would blow its budget raises
+InconclusiveSearch, saying how far it got, instead of guessing.
+
+The exact covering search prunes by two rules that lose no covering:
+
+- symmetry: covering is invariant under translations and under the linear
+  rank isometries X -> AXB (A, B invertible over GF(q)), and the latter fix
+  0.  Any covering with two or more centers therefore maps to one holding
+  0 and the canonical vector of some rank r in 1..min(m, n), whose
+  expansion is [I_r 0; 0 0].
+- top gains: j more centers cover at most the sum of the j largest
+  numbers of still-uncovered vectors in one ball, so a branch whose sum
+  falls short of what is left uncovered holds no covering.
 
 Vectors in GF(q^m)^n are encoded as integers sum_i c_i * (q^m)^i, the same
 odometer convention the code enumerators use, and rank weights come from
@@ -22,11 +33,32 @@ import numpy as np
 from . import _batch
 from .codes import make_code, make_codebook, make_zero_code
 from .ffield import make_field
-from .rankgeom import rank
+from .rankgeom import canonical_rank_vector, rank
 
 
 class InconclusiveSearch(RuntimeError):
     """A search hit its budget before the answer was settled."""
+
+
+class _Budget:
+    """Node count of one search, and how far the search got: the deepest
+    node and the best score (coverage, code size) of any node visited,
+    reported through the template best_text."""
+
+    def __init__(self, max_nodes, goal, best_text):
+        self.max_nodes, self.goal, self.best_text = max_nodes, goal, best_text
+        self.nodes = self.depth = self.best = 0
+
+    def visit(self, depth, score):
+        """Count one node; raise InconclusiveSearch once the budget is spent."""
+        if self.nodes == self.max_nodes:
+            raise InconclusiveSearch(
+                f"node budget {self.max_nodes} hit for {self.goal}: "
+                f"{self.nodes} nodes expanded, deepest depth {self.depth}, "
+                + self.best_text.format(self.best))
+        self.nodes += 1
+        self.depth = max(self.depth, depth)
+        self.best = max(self.best, score)
 
 
 # Caps that keep searches sound rather than wrong: the ambient size q^{mn}
@@ -36,6 +68,9 @@ class InconclusiveSearch(RuntimeError):
 MAX_SPACE = 1 << 20
 CLIQUE_SPACE = 1 << 8
 MAX_NODES = 1 << 22
+# Encodings per block of _balls.  The covering searches tally whole balls
+# at every step, so small blocks keep each temporary array at 32 KB.
+BALL_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -50,18 +85,53 @@ def _decode(order, n, v):
     return tuple((v // order ** i) % order for i in range(n))
 
 
+def _encode(order, vec):
+    return sum(x * order ** i for i, x in enumerate(vec))
+
+
 def _ball_offsets(field, n, rho):
     """Encodings of every vector of rank at most rho (the ball around 0)."""
     return np.flatnonzero(_batch.rank_table(field, n) <= rho)
 
 
 def _balls(field, offsets, centers):
-    """Rank balls around the centers, CHUNK entries at a time: rows of
+    """Rank balls around the centers, BALL_CHUNK entries at a time: rows of
     encodings c + o, one row per center c, one column per offset o."""
     centers = np.asarray(centers, dtype=np.int64)
-    step = max(1, _batch.CHUNK // len(offsets))
+    step = max(1, BALL_CHUNK // len(offsets))
     for i in range(0, len(centers), step):
         yield _batch.add(field, centers[i:i + step, None], offsets)
+
+
+def _retally(field, offsets, gains, vectors, step):
+    """Add step to gains[c] once for each of the vectors inside the ball
+    around c: the change in every center's gain when they change state."""
+    for near in _balls(field, offsets, vectors):
+        np.add.at(gains, near.ravel(), step)
+
+
+def _cover(field, offsets, unc, gains, c):
+    """Mark the ball around c covered and lower the gains to match; returns
+    the vectors it newly covered."""
+    new = next(_balls(field, offsets, [c]))[0]
+    new = new[unc[new]]
+    unc[new] = False
+    _retally(field, offsets, gains, new, -1)
+    return new
+
+
+def _top_sum(gains, j):
+    """Sum of the j largest gains, read off their histogram from the top:
+    gains are small non-negative integers, so no sort is needed."""
+    hist = np.bincount(gains).tolist()
+    total = 0
+    for gain in range(len(hist) - 1, 0, -1):
+        take = min(hist[gain], j)
+        total += take * gain
+        j -= take
+        if not j:
+            break
+    return total
 
 
 def _bitmask(flags):
@@ -95,11 +165,24 @@ def is_covering(q, m, n, centers, rho):
 def exhaustive_min_covering(q, m, n, rho, K, *, max_nodes=MAX_NODES):
     """Decide whether K balls of rank-radius rho can cover GF(q^m)^n.
 
-    Exact branch-and-bound set cover: covering is translation invariant, so
-    the zero vector is fixed as a center, and the search branches on the
-    centers able to cover the first uncovered vector.  Monotone in K; the
-    minimum covering size is settled by scanning K upward from a lower
-    bound.  Raises InconclusiveSearch when the node budget runs out.
+    Exact branch-and-bound set cover.  Two symmetries fix the first two
+    centers.  Covering is translation invariant, so one center can be moved
+    to 0.  The linear rank isometries X -> AXB fix 0 and map any vector of
+    rank r to rankgeom.canonical_rank_vector(F, n, r), so a second center
+    can then be moved to one of those min(m, n) vectors.  The search fixes
+    0, branches over the canonical vectors at depth 1, and from then on
+    over the centers able to cover the first uncovered vector.
+
+    The gain of a center is the number of uncovered vectors in its ball.
+    The next j centers cover at most the j largest gains together, so a
+    node with j = K - depth centers left is pruned when its j largest
+    gains add up to less than the uncovered count.  The gains of all
+    q^{mn} centers live in one array that is lowered as a center is placed
+    and raised again when it is taken back.
+
+    Monotone in K; the minimum covering size is settled by scanning K
+    upward from a lower bound.  Raises InconclusiveSearch, saying how far
+    the search got, when the node budget runs out.
     """
     _check_params(q, m, n, rho)
     F = make_field(q, m)
@@ -110,44 +193,40 @@ def exhaustive_min_covering(q, m, n, rho, K, *, max_nodes=MAX_NODES):
         return CoveringDecision(False)
 
     offsets = _ball_offsets(F, n, rho)
-    V = len(offsets)
-    full = (1 << Q) - 1
-    masks = {}
-
-    def ball(c):
-        if c not in masks:
-            flags = np.zeros(Q, dtype=bool)
-            flags[next(_balls(F, offsets, [c]))] = True
-            masks[c] = _bitmask(flags)
-        return masks[c]
-
-    nodes = 0
+    unc = np.ones(Q, dtype=bool)
+    gains = np.full(Q, len(offsets), dtype=np.int64)
+    second = [_encode(F.order, canonical_rank_vector(F, n, r))
+              for r in range(1, min(m, n) + 1)]
+    budget = _Budget(max_nodes, f"K={K}", f"best coverage {{}} of {Q} vectors")
     chosen = [0]
 
-    def extend(covered, depth):
-        nonlocal nodes
-        nodes += 1
-        if nodes > max_nodes:
-            raise InconclusiveSearch(f"node budget {max_nodes} hit")
-        if covered == full:
+    def extend(remaining):
+        depth = len(chosen)
+        budget.visit(depth, Q - remaining)
+        if remaining == 0:
             return True
-        if depth == K:
+        left = K - depth
+        if left == 0 or _top_sum(gains, left) < remaining:
             return False
-        remaining = Q - covered.bit_count()
-        if (K - depth) * V < remaining:
-            return False
-        u = (~covered & full).bit_length() - 1  # an uncovered vector
-        # the centers covering u are the members of the ball around u
-        cands = sorted(_bits(ball(u)),
-                       key=lambda c: (-(ball(c) & ~covered).bit_count(), c))
+        if depth == 1:
+            cands = second
+        else:
+            # the centers covering u are the members of the ball around u;
+            # try the largest gain first, ties to the smallest encoding c,
+            # by sorting the keys c - Q * gain, from which k % Q gives c
+            ball = next(_balls(F, offsets, [int(unc.argmax())]))[0]
+            cands = [k % Q for k in sorted((ball - Q * gains[ball]).tolist())]
         for c in cands:
+            new = _cover(F, offsets, unc, gains, c)
             chosen.append(c)
-            if extend(covered | ball(c), depth + 1):
+            if extend(remaining - len(new)):
                 return True
-            chosen.pop()
+            chosen.pop()  # take c back
+            _retally(F, offsets, gains, new, 1)
+            unc[new] = True
         return False
 
-    if extend(ball(0), 1):
+    if extend(Q - len(_cover(F, offsets, unc, gains, 0))):
         words = sorted(_decode(F.order, n, c) for c in chosen)
         return CoveringDecision(True, tuple(words))
     return CoveringDecision(False)
@@ -172,11 +251,7 @@ def greedy_covering(q, m, n, rho):
     while unc.any():
         c = int(gains.argmax())  # argmax takes the first, smallest index
         centers.append(c)
-        ball = next(_balls(F, offsets, [c]))[0]
-        new = ball[unc[ball]]
-        unc[new] = False
-        for near in _balls(F, offsets, new):
-            np.subtract.at(gains, near.ravel(), 1)
+        _cover(F, offsets, unc, gains, c)
 
     words = [_decode(F.order, n, c) for c in centers]
     if not is_covering(q, m, n, words, rho):
@@ -206,13 +281,11 @@ def max_code_search(q, m, n, d, *, max_nodes=MAX_NODES):
     adj = [_bitmask(row) for row in far]  # the diagonal has distance 0
 
     best = 0
-    nodes = 0
+    budget = _Budget(max_nodes, f"d={d}", "largest code found {}")
 
     def bk(size, P, X):
-        nonlocal best, nodes
-        nodes += 1
-        if nodes > max_nodes:
-            raise InconclusiveSearch(f"node budget {max_nodes} hit")
+        nonlocal best
+        budget.visit(size, size + 1)  # the code is the clique plus zero
         if P == 0 and X == 0:
             best = max(best, size)
             return

@@ -290,6 +290,9 @@ def test_search_inconclusive_exit_3(run):
                      "--n", "3", "--rho", "1", "--K", "12",
                      "--budget", "50")
     assert rc == 3 and "inconclusive" in err
+    # the message says how far the search got
+    assert "50 nodes expanded" in err and "K=12" in err
+    assert "deepest depth" in err and "best coverage" in err
     rc, _, err = run("search", "--what", "maxcode", "--q", "2", "--m", "3",
                      "--n", "3", "--d", "2")
     assert rc == 3  # ambient 512 above the clique budget
@@ -348,6 +351,28 @@ def test_bad_integers_exit_1(run, argv):
     rc, out, err = run(*argv)
     assert (rc, out) == (1, "")
     assert "must be an integer >=" in err
+
+
+@pytest.mark.parametrize("v", ["-1", "5"])
+def test_els_dimension_out_of_range_exits_1(run, v):
+    # an impossible dimension once printed "dim 5: 0 subspaces"
+    rc, out, err = run("els", "--q", "2", "--n", "3", "--v", v)
+    assert (rc, out) == (1, "")
+    assert err == f"error: dimension {v} outside [0, 3]\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("table1", "--m", "0..2"),
+    ("table1", "--m", "2..3", "--n", "0..2"),
+    ("table1", "--m", "2..3", "--rho=-1..1"),
+    ("table2", "--m", "0..2", "--rho", "0..1"),
+    ("table2", "--m", "2..3", "--rho=-1..1"),
+], ids=lambda argv: "-".join(argv))
+def test_table_ranges_checked(run, argv):
+    # table1 once dropped the m = 0 cells and table2 printed 0,0,0,0,0
+    rc, out, err = run(*argv)
+    assert (rc, out) == (1, "")
+    assert err == "error: need m, n >= 1 and rho >= 0\n"
 
 
 def test_failing_command_prints_nothing(run):

@@ -1,9 +1,12 @@
 """Tests for the brute-force search oracles."""
+import itertools
+
 import pytest
 
 from rankmetric import bounds as bd
 from rankmetric import oracle as oc
 from rankmetric.codes import min_rank_distance
+from rankmetric.ffield import make_field
 from rankmetric.rankgeom import rank
 
 
@@ -39,10 +42,19 @@ def test_exhaustive_covering_trivia():
 def test_exhaustive_covering_budgets():
     with pytest.raises(oc.InconclusiveSearch):
         oc.exhaustive_min_covering(2, 5, 5, 1, 3)  # 2^25 > MAX_SPACE
-    # K = 12 at (m, n, rho) = (3, 3, 1) is beyond the volume prune, so the
-    # search must actually branch -- and give up at a tiny node budget
-    with pytest.raises(oc.InconclusiveSearch):
+    # K = 12 at (m, n, rho) = (3, 3, 1) passes the top-gains prune, so the
+    # search must actually branch -- and give up at a tiny node budget,
+    # saying how far it got
+    with pytest.raises(oc.InconclusiveSearch) as exc:
         oc.exhaustive_min_covering(2, 3, 3, 1, 12, max_nodes=50)
+    msg = str(exc.value)
+    assert "node budget 50 hit for K=12: 50 nodes expanded" in msg
+    assert "deepest depth" in msg and "of 512 vectors" in msg
+    with pytest.raises(oc.InconclusiveSearch) as exc:
+        oc.max_code_search(2, 2, 4, 2, max_nodes=100)
+    msg = str(exc.value)
+    assert "node budget 100 hit for d=2: 100 nodes expanded" in msg
+    assert "deepest depth" in msg and "largest code found" in msg
 
 
 def test_greedy_covering_verified_and_bounded():
@@ -124,9 +136,56 @@ def test_exhaustive_covering_nonbinary_settles():
     assert dec.exists
     assert oc.is_covering(3, 2, 2, dec.witness, 1)
     # re-verify the witness by direct distance scan with the public rank
-    from rankmetric.ffield import make_field
     F = make_field(3, 2)
     for v in range(81):
         w = (v % 9, v // 9)
         assert min(rank(F, tuple(F.sub(a, b) for a, b in zip(w, c)))
                    for c in dec.witness) <= 1
+
+
+def _min_covering(q, m, n, rho):
+    """The searched minimum K_R; its witness is re-verified on the way."""
+    for K in range(1, (q ** m) ** n + 1):
+        dec = oc.exhaustive_min_covering(q, m, n, rho, K)
+        if dec.exists:
+            assert len(dec.witness) == K
+            assert oc.is_covering(q, m, n, dec.witness, rho)
+            return K
+
+
+def test_exhaustive_covering_settles_frontier_cell():
+    # the published table leaves K_R(2^4, 2, 1) in [7, 8]
+    assert bd.covering_report(2, 4, 2, 1).interval() == (7, 8)
+    assert not oc.exhaustive_min_covering(2, 4, 2, 1, 7).exists
+    dec = oc.exhaustive_min_covering(2, 4, 2, 1, 8)
+    assert dec.exists and len(dec.witness) == 8
+    assert oc.is_covering(2, 4, 2, dec.witness, 1)
+
+
+def test_exhaustive_covering_raises_lower_bound():
+    # the published table gives K_R(2^4, 3, 2) >= 4; four balls do not cover
+    assert bd.covering_report(2, 4, 3, 2).interval() == (4, 8)
+    assert not oc.exhaustive_min_covering(2, 4, 3, 2, 4).exists
+
+
+def test_exhaustive_covering_settles_upper_end():
+    # the published table leaves K_R(2^3, 3, 2) in [2, 4]
+    assert bd.covering_report(2, 3, 3, 2).interval() == (2, 4)
+    assert _min_covering(2, 3, 3, 2) == 4
+
+
+@pytest.mark.parametrize("q,m,n,rho", [
+    (2, 2, 2, 1), (2, 3, 2, 1), (2, 2, 3, 1), (3, 2, 2, 1)])
+def test_exhaustive_covering_against_brute_force(q, m, n, rho):
+    # every cell with at most 81 vectors: no (K_R - 1)-subset of the ambient
+    # covers it, by plain set unions over scalar ranks.  Covering is
+    # translation invariant, so the subsets may all contain 0.
+    K = _min_covering(q, m, n, rho)
+    F = make_field(q, m)
+    space = list(itertools.product(range(F.order), repeat=n))
+    ball = {v: frozenset(i for i, w in enumerate(space) if rank(
+        F, tuple(F.sub(a, b) for a, b in zip(v, w))) <= rho) for v in space}
+    zero, rest = space[0], space[1:]
+    assert not any(len(ball[zero].union(*(ball[c] for c in more)))
+                   == len(space)
+                   for more in itertools.combinations(rest, K - 2))
