@@ -5,7 +5,11 @@ GF(q^m)^n.  It eliminates the m x n expansions of a batch in lockstep,
 keeping one pivot row per leading column and per sample: on base-q digit
 arrays for odd q, and on bitmask rows for q = 2.  Scans feed it CHUNK
 vectors at a time from vector_chunks, so their peak memory does not grow
-with the ambient size.
+with the ambient size; rank_table caches the ranks of a whole ambient.
+
+balls is the one rank-ball builder: the translates c + o of offsets o (a
+ball, or one shell of it read off rank_table) around many centers c, for
+the covering radius and the covering searches alike.
 
 Vectors are encoded either as (N, n) arrays of element encodings or packed
 into one integer sum_j x_j * order^j.  In both forms the base-q digits are
@@ -19,6 +23,7 @@ import numpy as np
 
 CHUNK = 1 << 16       # vectors per kernel call in every scan
 CACHE_SIZE = 8        # tables kept per builder; a guard-sized rank table is 16 MB
+BALL_CHUNK = 1 << 12  # encodings per block of balls: 32 KB per temporary
 
 # The cached tables are shared by every caller, so they are made read-only.
 
@@ -66,20 +71,22 @@ def sub(field, a, b):
     return a ^ b if field.q == 2 else _digitwise(field.q, a, b, -1)
 
 
-def vector_chunks(field, k, G=None):
-    """Every vector x of GF(q^m)^k in odometer order, CHUNK at a time.
+def vector_chunks(field, k, G=None, packed=None):
+    """Every vector x of GF(q^m)^k in odometer order, or only those in the
+    int64 array packed of packed encodings, CHUNK at a time.
 
     Vector v has coordinates x_i = (v // order^i) mod order.  Yields (N, k)
     int64 arrays of encodings, or with a (k, n) integer array G the (N, n)
     products x G: the codewords of messages x, or the syndromes of vectors
     x when G is a transposed parity-check matrix.
     """
-    total = field.order ** k
+    total = field.order ** k if packed is None else len(packed)
     scale = field.order ** np.arange(k, dtype=np.int64)
     luts = {} if G is None else {(i, j): mul_lut(field, int(g))
                                  for (i, j), g in np.ndenumerate(G) if g}
     for start in range(0, total, CHUNK):
-        idx = np.arange(start, min(start + CHUNK, total), dtype=np.int64)
+        idx = np.arange(start, min(start + CHUNK, total), dtype=np.int64) \
+            if packed is None else packed[start:start + CHUNK]
         xs = idx[:, None] // scale % field.order
         if G is None:
             yield xs
@@ -88,6 +95,15 @@ def vector_chunks(field, k, G=None):
         for (i, j), lut in luts.items():
             out[:, j] = add(field, out[:, j], lut[xs[:, i]])
         yield out
+
+
+def balls(field, offsets, centers):
+    """Packed encodings c + o, BALL_CHUNK at a time: one row per center c,
+    one column per offset o.  The offsets must not be empty."""
+    centers = np.asarray(centers, dtype=np.int64)
+    step = max(1, BALL_CHUNK // len(offsets))
+    for i in range(0, len(centers), step):
+        yield add(field, centers[i:i + step, None], offsets)
 
 
 def rank_digit_mats(q, mats):

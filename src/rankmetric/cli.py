@@ -242,13 +242,17 @@ def cmd_bounds(args):
                   for side, vals in (("lower", rep.lower),
                                      ("upper", rep.upper))]
     lines.append(f"linear dimension k: {dims[0]}..{dims[1]}")
-    emit(args, make_config("bounds", q=q, m=m, n=n, rho=rho), {
-        "lower": rep.lower, "upper": rep.upper,
-        "best_lower": rep.best_lower, "lower_tag": rep.best_lower_tag,
-        "best_upper": rep.best_upper, "upper_tag": rep.best_upper_tag,
-        "exact": rep.exact, "summary": summary,
-        "k_lower": dims[0], "k_upper": dims[1]}, lines)
+    emit(args, make_config("bounds", q=q, m=m, n=n, rho=rho),
+         {**_report_fields(rep), "summary": summary,
+          "k_lower": dims[0], "k_upper": dims[1]}, lines)
     return 0
+
+
+def _report_fields(rep):
+    """A BoundReport's JSON fields, as bounds and table1 print them."""
+    return {"lower": rep.lower, "upper": rep.upper, "exact": rep.exact,
+            "best_lower": rep.best_lower, "lower_tag": rep.best_lower_tag,
+            "best_upper": rep.best_upper, "upper_tag": rep.best_upper_tag}
 
 
 def _grid(args):
@@ -276,11 +280,8 @@ def cmd_table1(args):
     ranges, cfg = _grid(args)
     table = bd.covering_table(args.q, *ranges)
     reps = [table[key] for key in sorted(table)]
-    cells = [{"m": rep.m, "n": rep.n, "rho": rep.rho,
-              "lower": rep.lower, "upper": rep.upper,
-              "best_lower": rep.best_lower, "lower_tag": rep.best_lower_tag,
-              "best_upper": rep.best_upper, "upper_tag": rep.best_upper_tag,
-              "exact": rep.exact} for rep in reps]
+    cells = [{"m": rep.m, "n": rep.n, "rho": rep.rho, **_report_fields(rep)}
+             for rep in reps]
     rows = [[rep.m, rep.n, rep.rho]
             + [rep.lower.get(t) for t in bd.LOWER_TAGS]
             + [rep.upper.get(t) for t in bd.UPPER_TAGS]
@@ -465,9 +466,8 @@ def _suite_bounds(trials, seed):
     anchors = {(2, 2, 1): "b 3-4 A", (3, 2, 1): "b 4 B",
                (3, 3, 1): "a 11-32 C", (7, 7, 6): "a 2-16 C",
                (4, 4, 2): "b 10-64 C"}
-    bad = [(cell, want, bd.format_report(bd.covering_report(2, *cell)))
-           for cell, want in anchors.items()
-           if bd.format_report(bd.covering_report(2, *cell)) != want]
+    bad = [(cell, want, got) for cell, want in anchors.items()
+           if (got := bd.format_report(bd.covering_report(2, *cell))) != want]
     checks.append(("covering bound anchors", not bad, str(bad)))
     violations = []
     for m in range(2, 7):
@@ -649,7 +649,7 @@ def build_parser():
     p = sub.add_parser("verify", help="run invariant suites")
     p.add_argument("--suite", default="all",
                    choices=("all",) + tuple(SUITES))
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=int_at_least(1), default=20)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 

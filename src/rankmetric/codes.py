@@ -7,6 +7,10 @@ quantities (rank distribution, minimum distance, covering radius) stream
 codewords or ambient vectors in fixed-size chunks through the vectorized
 rank kernel of _batch, for every q, and are guarded by an enumeration cap.
 
+The covering radius grows the rank ball around the code shell by shell
+(_batch.rank_table, _batch.balls) until it reaches every syndrome of a
+linear code, or every vector around a codebook.
+
 Weight distributions of a linear code rank one codeword per scalar class:
 x -> a x is a GF(q)-linear bijection of GF(q^m) for every nonzero a, so the
 q^m - 1 nonzero multiples of a codeword share its rank and Hamming weights,
@@ -128,13 +132,17 @@ def codewords(code):
         yield from map(tuple, words.tolist())
 
 
+def _slices(array):
+    """Views of array, _batch.CHUNK entries at a time."""
+    return (array[i:i + _batch.CHUNK]
+            for i in range(0, len(array), _batch.CHUNK))
+
+
 def _word_chunks(code):
     """(N, n) arrays of all codewords, _batch.CHUNK at a time; linear codes
     in message-odometer order."""
     if isinstance(code, Codebook):
-        words = np.array(code.words, dtype=np.int64)
-        return (words[i:i + _batch.CHUNK]
-                for i in range(0, len(words), _batch.CHUNK))
+        return _slices(np.array(code.words, dtype=np.int64))
     G = np.array(code.G, dtype=np.int64).reshape(code.k, code.n)
     return _batch.vector_chunks(code.field, code.k, G)
 
@@ -181,8 +189,8 @@ def min_rank_distance(code):
     """Minimum rank distance over distinct codeword pairs.
 
     For a linear code this is the minimum nonzero codeword rank; a Codebook
-    ranks the differences from each codeword to the later ones in one batch.
-    Codes with fewer than two words have no pairs and return None.
+    ranks the differences from each codeword to the later ones, CHUNK at a
+    time.  Codes with fewer than two words have no pairs and return None.
     """
     if isinstance(code, LinearCode):
         if code.k == 0:
@@ -195,10 +203,11 @@ def min_rank_distance(code):
     words = np.array(code.words, dtype=np.int64)
     best = code.n
     for i in range(len(words) - 1):
-        diffs = _batch.sub(F, words[i + 1:], words[i])
-        best = min(best, int(_batch.rank_words(F, diffs).min()))
-        if best == 1:
-            break
+        for later in _slices(words[i + 1:]):
+            diffs = _batch.sub(F, later, words[i])
+            best = min(best, int(_batch.rank_words(F, diffs).min()))
+            if best == 1:
+                return best
     return best
 
 
@@ -244,44 +253,40 @@ def dot(field, u, v):
 def covering_radius(code):
     """max over the ambient space of the rank distance to the code, exact.
 
-    Linear codes scan the ambient once and keep the least rank in each
-    syndrome class (the coset-leader weights); codebooks look up the rank
-    of x - c for every codeword c in the rank table.  Guarded by the
-    ambient size q^{mn}.
+    Grows the rank ball around the code shell by shell: the rank-rho
+    vectors, read off _batch.rank_table in _batch.CHUNK slices, mark what
+    they reach in one boolean mask, and the first rho that marks it all is
+    the radius.  A linear code marks the syndromes of the shell (every coset
+    then has a leader of rank <= rho), a codebook the translates c + x of
+    the shell around its codewords c.  Guarded by the ambient size q^{mn}.
     """
     F, n = code.field, code.n
     ambient = F.order ** n
     if ambient > BRUTE_GUARD:
         raise ValueError(f"ambient size {ambient} exceeds guard")
-    if isinstance(code, Codebook):
-        return _covering_radius_book(code)
-    H = dual(code).G
-    if not H:  # k = n: the whole space covers itself
-        return 0
-    ranks = _batch.rank_table(F, n)
-    HT = np.array(H, dtype=np.int64).T
-    scale = F.order ** np.arange(len(H), dtype=np.int64)
-    minw = np.full(F.order ** len(H), 255, dtype=np.uint8)
-    for i, syn in enumerate(_batch.vector_chunks(F, n, HT)):
-        chunk = ranks[i * _batch.CHUNK:(i + 1) * _batch.CHUNK]
-        np.minimum.at(minw, syn @ scale, chunk)
-    return int(minw.max())
+    if isinstance(code, LinearCode):
+        H = dual(code).G
+        if not H:  # k = n: the whole space covers itself
+            return 0
+        HT = np.array(H, dtype=np.int64).T
+        scale = F.order ** np.arange(len(H), dtype=np.int64)
+        hit = np.zeros(F.order ** len(H), dtype=bool)
 
-
-def _covering_radius_book(code):
-    F, n = code.field, code.n
-    ranks = _batch.rank_table(F, n)
-    words = np.array(code.words, dtype=np.int64) @ \
-        F.order ** np.arange(n, dtype=np.int64)
-    best = 0
-    for start in range(0, ranks.size, _batch.CHUNK):
-        xs = np.arange(start, min(start + _batch.CHUNK, ranks.size),
-                       dtype=np.int64)
-        near = np.full(len(xs), 255, dtype=np.uint8)
-        for c in words:
-            np.minimum(near, ranks[_batch.sub(F, xs, c)], out=near)
-        best = max(best, int(near.max()))
-    return best
+        def reach(shell):
+            return (s @ scale for s in _batch.vector_chunks(F, n, HT, shell))
+    else:
+        words = np.array(code.words, dtype=np.int64) @ \
+            F.order ** np.arange(n, dtype=np.int64)
+        hit = np.zeros(ambient, dtype=bool)
+        reach = functools.partial(_batch.balls, F, centers=words)
+    for rho in range(n + 1):
+        for i, part in enumerate(_slices(_batch.rank_table(F, n))):
+            shell = np.flatnonzero(part == rho)
+            if shell.size:  # rank 0 lives only in the first slice
+                for idx in reach(shell + i * _batch.CHUNK):
+                    hit[idx] = True
+        if hit.all():
+            return rho
 
 
 # ---------------------------------------------------------------------------

@@ -262,9 +262,6 @@ class Field:
             return self._exp[-self._log[a] % (self.order - 1)]
         return self.pow(a, self.order - 2)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def pow(self, x, e):
         if e < 0:
             return self.inv(self.pow(x, -e))

@@ -19,8 +19,8 @@ The exact covering search prunes by two rules that lose no covering:
   falls short of what is left uncovered holds no covering.
 
 Vectors in GF(q^m)^n are encoded as integers sum_i c_i * (q^m)^i, the same
-odometer convention the code enumerators use, and rank weights come from
-one table indexed by that encoding (_batch.rank_table).
+odometer convention the code enumerators use; rank weights and balls come
+from _batch.rank_table and _batch.balls, shared with the covering radius.
 """
 from __future__ import annotations
 
@@ -68,9 +68,6 @@ class _Budget:
 MAX_SPACE = 1 << 20
 CLIQUE_SPACE = 1 << 8
 MAX_NODES = 1 << 22
-# Encodings per block of _balls.  The covering searches tally whole balls
-# at every step, so small blocks keep each temporary array at 32 KB.
-BALL_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -89,31 +86,31 @@ def _encode(order, vec):
     return sum(x * order ** i for i, x in enumerate(vec))
 
 
-def _ball_offsets(field, n, rho):
-    """Encodings of every vector of rank at most rho (the ball around 0)."""
-    return np.flatnonzero(_batch.rank_table(field, n) <= rho)
-
-
-def _balls(field, offsets, centers):
-    """Rank balls around the centers, BALL_CHUNK entries at a time: rows of
-    encodings c + o, one row per center c, one column per offset o."""
-    centers = np.asarray(centers, dtype=np.int64)
-    step = max(1, BALL_CHUNK // len(offsets))
-    for i in range(0, len(centers), step):
-        yield _batch.add(field, centers[i:i + step, None], offsets)
+def _covering_state(q, m, n, rho):
+    """Start of a covering search: the field, the ambient size Q, the ball
+    of radius rho around 0 as encodings, every vector uncovered, and every
+    center's gain (the uncovered vectors in its ball) at the ball volume."""
+    _check_params(q, m, n, rho)
+    F = make_field(q, m)
+    Q = F.order ** n
+    if Q > MAX_SPACE:
+        raise InconclusiveSearch(f"ambient size {Q} exceeds budget")
+    offsets = np.flatnonzero(_batch.rank_table(F, n) <= rho)
+    gains = np.full(Q, len(offsets), dtype=np.int64)
+    return F, Q, offsets, np.ones(Q, dtype=bool), gains
 
 
 def _retally(field, offsets, gains, vectors, step):
     """Add step to gains[c] once for each of the vectors inside the ball
     around c: the change in every center's gain when they change state."""
-    for near in _balls(field, offsets, vectors):
+    for near in _batch.balls(field, offsets, vectors):
         np.add.at(gains, near.ravel(), step)
 
 
 def _cover(field, offsets, unc, gains, c):
     """Mark the ball around c covered and lower the gains to match; returns
     the vectors it newly covered."""
-    new = next(_balls(field, offsets, [c]))[0]
+    new = next(_batch.balls(field, offsets, [c]))[0]
     new = new[unc[new]]
     unc[new] = False
     _retally(field, offsets, gains, new, -1)
@@ -184,17 +181,9 @@ def exhaustive_min_covering(q, m, n, rho, K, *, max_nodes=MAX_NODES):
     upward from a lower bound.  Raises InconclusiveSearch, saying how far
     the search got, when the node budget runs out.
     """
-    _check_params(q, m, n, rho)
-    F = make_field(q, m)
-    Q = F.order ** n
-    if Q > MAX_SPACE:
-        raise InconclusiveSearch(f"ambient size {Q} exceeds budget")
+    F, Q, offsets, unc, gains = _covering_state(q, m, n, rho)
     if K < 1:
         return CoveringDecision(False)
-
-    offsets = _ball_offsets(F, n, rho)
-    unc = np.ones(Q, dtype=bool)
-    gains = np.full(Q, len(offsets), dtype=np.int64)
     second = [_encode(F.order, canonical_rank_vector(F, n, r))
               for r in range(1, min(m, n) + 1)]
     budget = _Budget(max_nodes, f"K={K}", f"best coverage {{}} of {Q} vectors")
@@ -214,7 +203,7 @@ def exhaustive_min_covering(q, m, n, rho, K, *, max_nodes=MAX_NODES):
             # the centers covering u are the members of the ball around u;
             # try the largest gain first, ties to the smallest encoding c,
             # by sorting the keys c - Q * gain, from which k % Q gives c
-            ball = next(_balls(F, offsets, [int(unc.argmax())]))[0]
+            ball = next(_batch.balls(F, offsets, [int(unc.argmax())]))[0]
             cands = [k % Q for k in sorted((ball - Q * gains[ball]).tolist())]
         for c in cands:
             new = _cover(F, offsets, unc, gains, c)
@@ -236,17 +225,8 @@ def greedy_covering(q, m, n, rho):
     """Covering code built by the greedy heuristic (largest new coverage,
     ties to the smallest vector encoding).  The result is a verified
     covering, hence a certified upper bound witness for K_R."""
-    _check_params(q, m, n, rho)
-    F = make_field(q, m)
-    Q = F.order ** n
-    if Q > MAX_SPACE:
-        raise InconclusiveSearch(f"ambient size {Q} exceeds budget")
-
-    # gains[c] counts the uncovered vectors in the ball around c; covering
-    # u lowers the gain of every center in the ball around u by one
-    offsets = _ball_offsets(F, n, rho)
-    unc = np.ones(Q, dtype=bool)
-    gains = np.full(Q, len(offsets), dtype=np.int64)
+    # covering u lowers the gain of every center in the ball around u by one
+    F, Q, offsets, unc, gains = _covering_state(q, m, n, rho)
     centers = []
     while unc.any():
         c = int(gains.argmax())  # argmax takes the first, smallest index

@@ -343,11 +343,14 @@ def test_table1_matches_golden_file(run, q, m, rho, golden):
     ("ball", "--q", "2", "--m", "0", "--n", "2", "--r", "0"),
     ("ball", "--q", "2", "--m", "2", "--n", "0", "--r", "0"),
     ("els", "--q", "2", "--n", "-1"),
+    ("verify", "--suite", "macwilliams", "--trials", "0"),
+    ("verify", "--suite", "macwilliams", "--trials", "-3"),
 ], ids=["budget-0", "budget-negative", "ball-m-0", "ball-n-0",
-        "els-n-negative"])
+        "els-n-negative", "verify-trials-0", "verify-trials-negative"])
 def test_bad_integers_exit_1(run, argv):
-    # a zero budget once meant the default one, and a negative budget or an
-    # empty field or ambient once printed an answer
+    # a zero budget once meant the default one, a negative budget or an
+    # empty field or ambient once printed an answer, and verify once passed
+    # "macwilliams oracle x-3" after checking nothing
     rc, out, err = run(*argv)
     assert (rc, out) == (1, "")
     assert "must be an integer >=" in err

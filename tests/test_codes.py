@@ -198,6 +198,32 @@ def test_min_distance_nonlinear_pairs():
     assert cd.min_rank_distance(single) is None
 
 
+def test_min_distance_codebook_ranks_chunks(monkeypatch):
+    """A Codebook ranks its differences _batch.CHUNK at a time, with the
+    same distances as the pairwise scalar scan."""
+    books = []
+    for q, m, n in ((2, 2, 2), (3, 1, 3), (5, 1, 2)):
+        F = make_field(q, m)
+        rng = np.random.default_rng(q)
+        books.append(cd.make_codebook(
+            F, rng.integers(0, F.order, size=(9, n)).tolist()))
+    F8 = make_field(2, 3)
+    books.append(cd.make_codebook(  # 8 words at distance 3
+        F8, cd.codewords(cd.gabidulin(F8, F8.polynomial_basis(), 1))))
+    expected = [min(rg.rank_distance(b.field, u, v)
+                    for u, v in itertools.combinations(b.words, 2))
+                for b in books]
+    assert expected[-1] == 3
+    kernel = _batch.rank_words
+
+    def bounded(field, words):
+        assert len(words) <= 3
+        return kernel(field, words)
+    monkeypatch.setattr(_batch, "CHUNK", 3)
+    monkeypatch.setattr(_batch, "rank_words", bounded)
+    assert [cd.min_rank_distance(b) for b in books] == expected
+
+
 @pytest.mark.parametrize("q,m,n,k", [(2, 3, 4, 2), (3, 2, 3, 2), (5, 1, 4, 2)])
 def test_hamming_distribution_against_per_word_count(q, m, n, k):
     F = make_field(q, m)
@@ -276,8 +302,8 @@ def test_covering_radius_trivial():
                                      (3, 2, 2, 1), (3, 1, 3, 1),
                                      (5, 1, 2, 1)])
 def test_covering_radius_paths_agree(q, m, n, k):
-    """Syndrome scan, translated-table scan, and the direct python loop all
-    compute the same covering radius."""
+    """Shell growth over syndromes, shell growth over translates, and the
+    direct python loop all compute the same covering radius."""
     F = make_field(q, m)
     for C in random_linear_codes(F, n, k, 4, seed=17 * m + n):
         rho = cd.covering_radius(C)
@@ -301,6 +327,61 @@ def test_distribution_past_word_packing_limits(as_book):
     assert cd.rank_distribution(D) == (1, 1) + (0,) * 39
     assert cd.min_rank_distance(C) == 8
     assert cd.min_rank_distance(D) == 1
+
+
+@pytest.mark.parametrize("q,m,n", [(2, 2, 2), (2, 3, 2), (2, 2, 3),
+                                   (3, 2, 2), (3, 1, 3), (5, 1, 2)])
+def test_covering_radius_nonlinear_codebooks(q, m, n):
+    """Random codebooks without the zero word, and single words, against
+    the direct python loop."""
+    F = make_field(q, m)
+    rng = np.random.default_rng(31 * q + 7 * m + n)
+    for size in (1, 1, 2, 3, 5):
+        words = [w for w in rng.integers(0, F.order, size=(size, n)).tolist()
+                 if any(w)] or [[1] * n]
+        book = cd.make_codebook(F, words)
+        rho = cd.covering_radius(book)
+        assert rho == brute_covering_radius(book)
+        if book.size == 1:
+            assert rho == min(m, n)
+
+
+def test_covering_radius_codebooks_past_one_chunk():
+    """Ambients of 2^20 vectors span 16 slices of _batch.CHUNK, and the
+    rank-0 shell is empty in all of them but the first."""
+    F = make_field(2, 5)
+    assert F.order ** 4 == 16 * _batch.CHUNK
+    G = cd.gabidulin(F, F.polynomial_basis()[:4], 2)
+    book = cd.make_codebook(F, cd.codewords(G))
+    assert cd.covering_radius(book) == 2  # MRD: n - k
+    # two balls of radius 3 miss a vector: 2 V_3 < 2^20
+    assert 2 * rg.ball_counts(2, 5, 4, 3)[1] < F.order ** 4
+    pair = cd.make_codebook(F, [(0, 0, 0, 0), (1, 2, 4, 8)])
+    assert cd.covering_radius(pair) == 4
+
+
+def test_covering_radius_reads_shells_in_chunks(monkeypatch):
+    """With a small _batch.CHUNK every shell slice stays that small, the
+    empty ones are skipped, and the radii do not change."""
+    F = make_field(2, 3)
+    codes = random_linear_codes(F, 3, 1, 2, seed=3) + [
+        cd.gabidulin(F, F.polynomial_basis(), 2)]
+    codes += [cd.make_codebook(F, cd.codewords(C)) for C in codes]
+    expected = [cd.covering_radius(C) for C in codes]
+    assert expected[2] == 1
+    builder, chunks = _batch.balls, _batch.vector_chunks
+
+    def bounded_balls(field, offsets, centers):
+        assert 1 <= len(offsets) <= 64
+        return builder(field, offsets, centers)
+
+    def bounded_chunks(field, k, G=None, packed=None):
+        assert packed is not None and 1 <= len(packed) <= 64
+        return chunks(field, k, G, packed)
+    monkeypatch.setattr(_batch, "CHUNK", 64)
+    monkeypatch.setattr(_batch, "balls", bounded_balls)
+    monkeypatch.setattr(_batch, "vector_chunks", bounded_chunks)
+    assert [cd.covering_radius(C) for C in codes] == expected
 
 
 def test_covering_radius_guard():

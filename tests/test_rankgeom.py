@@ -463,6 +463,19 @@ def test_rank_table_full_agreement(q):
             assert table[x + y * F.order] == rg.rank(F, (x, y))
 
 
+def test_vector_chunks_of_packed_encodings():
+    """Products x G of chosen vectors x, given by packed encodings, are the
+    matching rows of the full odometer stream."""
+    F = make_field(3, 2)
+    G = np.array([[1, 2], [0, 5], [7, 1]])
+    full = np.concatenate(list(_batch.vector_chunks(F, 3, G)))
+    packed = np.array([0, 5, 80, 400, 728])
+    got = np.concatenate(list(_batch.vector_chunks(F, 3, G, packed)))
+    assert (got == full[packed]).all()
+    assert (next(_batch.vector_chunks(F, 3, packed=packed))
+            == np.concatenate(list(_batch.vector_chunks(F, 3)))[packed]).all()
+
+
 def test_batch_lut_helpers():
     F = make_field(2, 4)
     dt = _batch.digits_table(F)
