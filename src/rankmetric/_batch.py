@@ -3,7 +3,9 @@
 rank_words is the one rank entry point for scans over many vectors of
 GF(q^m)^n.  It eliminates the m x n expansions of a batch in lockstep,
 keeping one pivot row per leading column and per sample: on base-q digit
-arrays for odd q, and on bitmask rows for q = 2.  Scans feed it CHUNK
+arrays for odd q, and on bitmask rows for q = 2.  A missing pivot is a zero
+row, and reducing by a zero row changes nothing, so every elimination step
+is one unconditional array operation on all samples.  Scans feed it CHUNK
 vectors at a time from vector_chunks, so their peak memory does not grow
 with the ambient size; rank_table caches the ranks of a whole ambient.
 
@@ -109,59 +111,49 @@ def balls(field, offsets, centers):
 def rank_digit_mats(q, mats):
     """Ranks of N matrices over GF(q); mats is (N, m, n) with entries in [0, q).
 
-    Works in uint8: every intermediate is at most (q-1) + (q-1)^2 < 256.
+    Pivot slot c holds a row led by a 1 in column c, or zeros, so the step
+    cur + (q - cur_c) * piv[c] clears column c where a pivot exists and
+    adds 0 mod q elsewhere (also where cur_c = 0, as q * piv[c] = 0 mod q).
+    In uint8 every intermediate is at most (q-1) + q(q-1) < 256.
     """
     mats = np.asarray(mats, dtype=np.uint8)
     nmat, m, n = mats.shape
-    inv = np.zeros(q, dtype=np.uint8)
-    for v in range(1, q):
-        inv[v] = pow(v, -1, q)
+    inv = np.array([0] + [pow(v, -1, q) for v in range(1, q)], dtype=np.uint8)
     piv = np.zeros((n, nmat, n), dtype=np.uint8)
-    has = np.zeros((n, nmat), dtype=bool)
     ranks = np.zeros(nmat, dtype=np.uint8)
     for r in range(m):
         cur = mats[:, r, :].copy()
         for c in range(n):
-            f = cur[:, c]
-            mask = (f != 0) & has[c]
-            if mask.any():
-                cur[mask] = (cur[mask] + (q - f[mask, None]) * piv[c][mask]) % q
-        nz = cur.any(axis=1)
-        if not nz.any():
-            continue
-        idx = np.nonzero(nz)[0]
+            cur = (cur + (q - cur[:, c, None]) * piv[c]) % q
+        idx = np.flatnonzero(cur.any(axis=1))
         rows = cur[idx]
         lead = np.argmax(rows != 0, axis=1)
         rows = rows * inv[rows[np.arange(len(idx)), lead]][:, None] % q
         piv[lead, idx] = rows
-        has[lead, idx] = True
         ranks[idx] += 1
     return ranks
 
 
-def rank_bits_gf2(rows, n):
-    """Ranks of N binary matrices given as (N, m) arrays of n-bit row masks."""
+def rank_bits_gf2(rows):
+    """Ranks of N binary matrices given as (N, m) arrays of row bitmasks.
+
+    Pivot slot b holds a row led by bit b, or 0.  XOR with it flips bit b
+    and keeps the higher bits, so min(cur, cur ^ piv[b]) clears bit b where
+    it is set and a pivot exists, and keeps cur elsewhere.  Leading bits
+    come from frexp, exact below 2^53.
+    """
     rows = np.asarray(rows, dtype=np.uint32)
     nmat, m = rows.shape
-    piv = np.zeros((n, nmat), dtype=np.uint32)
+    piv = np.zeros((int(rows.max(initial=0)).bit_length(), nmat),
+                   dtype=np.uint32)
     ranks = np.zeros(nmat, dtype=np.uint8)
     for r in range(m):
         cur = rows[:, r].copy()
-        for b in range(n - 1, -1, -1):
-            mask = (((cur >> np.uint32(b)) & 1) != 0) & (piv[b] != 0)
-            cur[mask] ^= piv[b][mask]
-        nz = cur != 0
-        if not nz.any():
-            continue
-        idx = np.nonzero(nz)[0]
+        for b in range(len(piv) - 1, -1, -1):
+            np.minimum(cur, cur ^ piv[b], out=cur)
+        idx = np.flatnonzero(cur)
         vals = cur[idx]
-        lead = np.zeros(len(idx), dtype=np.int64)
-        found = np.zeros(len(idx), dtype=bool)
-        for b in range(n - 1, -1, -1):
-            sel = ~found & (((vals >> np.uint32(b)) & 1) != 0)
-            lead[sel] = b
-            found |= sel
-        piv[lead, idx] = vals
+        piv[np.frexp(vals)[1] - 1, idx] = vals
         ranks[idx] += 1
     return ranks
 
@@ -172,7 +164,7 @@ def rank_words(field, words):
     if field.q == 2:
         # a q=2 encoding is the bitmask of its column of the m x n
         # expansion, and rank(A) = rank(A^T): rank the n columns as rows
-        return rank_bits_gf2(words.astype(np.uint32), field.m)
+        return rank_bits_gf2(words.astype(np.uint32))
     mats = digits_table(field)[words].transpose(0, 2, 1)  # (N, m, n)
     return rank_digit_mats(field.q, mats)
 

@@ -161,6 +161,8 @@ def cmd_els(args):
     payload = {"counts": {str(v): c for v, c in counts.items()}}
     bases = {}
     if args.list:
+        for v in dims:  # refuse before listing anything
+            rg.check_els_count(args.q, args.n, v)
         bases = {v: [e.basis for e in rg.enumerate_els(args.q, 1, args.n, v)]
                  for v in dims}
         payload["bases"] = {str(v): [[list(r) for r in b] for b in bs]

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _batch, _linalg
 from .ffield import Field, make_field
-from .rankgeom import BRUTE_GUARD, enumerate_els, gaussian, rank
+from .rankgeom import BRUTE_GUARD, enumerate_els, rank
 
 
 # ---------------------------------------------------------------------------
@@ -383,14 +383,12 @@ def mrd_els_check(code):
     F, n, k = code.field, code.n, code.k
     if n > F.m:
         raise ValueError("requires n <= m")
-    count = gaussian(n, n - k, F.q)
-    if count > BRUTE_GUARD:
-        raise ValueError(f"ELS count {count} exceeds guard {BRUTE_GUARD}")
+    spaces = enumerate_els(F.q, F.m, n, n - k)
     H = dual(code).G
     return all(
         _linalg.rank_field(F, [[dot(F, h, b) for b in els.basis] for h in H])
         == n - k
-        for els in enumerate_els(F.q, F.m, n, n - k))
+        for els in spaces)
 
 
 def array_view(code, basis=None):
@@ -428,6 +426,8 @@ def parse_code(text):
     if len(head) < 4:
         raise ValueError("header needs q m n k [modulus]")
     q, m, n, k = head[:4]
+    if not 0 <= k <= n:
+        raise ValueError(f"header needs 0 <= k <= n, got n={n} k={k}")
     modulus = tuple(head[4:]) if len(head) > 4 else None
     field = make_field(q, m, modulus)
     if len(lines) != 1 + k:

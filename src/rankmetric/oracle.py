@@ -118,17 +118,9 @@ def _cover(field, offsets, unc, gains, c):
 
 
 def _top_sum(gains, j):
-    """Sum of the j largest gains, read off their histogram from the top:
-    gains are small non-negative integers, so no sort is needed."""
-    hist = np.bincount(gains).tolist()
-    total = 0
-    for gain in range(len(hist) - 1, 0, -1):
-        take = min(hist[gain], j)
-        total += take * gain
-        j -= take
-        if not j:
-            break
-    return total
+    """Sum of the j largest gains (of all of them when j exceeds their count)."""
+    k = max(len(gains) - j, 0)
+    return int(np.partition(gains, k)[k:].sum())
 
 
 def _bitmask(flags):

@@ -216,11 +216,19 @@ def _subspaces(q, n, v):
             yield tuple(tuple(r) for r in rows)
 
 
+def check_els_count(q, n, v):
+    """Refuse to enumerate more than BRUTE_GUARD ELS's of dimension v."""
+    count = gaussian(n, v, q)
+    if count > BRUTE_GUARD:
+        raise ValueError(f"ELS count {count} exceeds guard {BRUTE_GUARD}")
+
+
 def enumerate_els(q, m, n, v):
     """All ELS's of dimension v in GF(q^m)^n (they biject with v-dim
     subspaces of GF(q)^n, so there are [n v]_q of them, independent of m)."""
     if not 0 <= v <= n:
         raise ValueError(f"dimension {v} outside [0, {n}]")
+    check_els_count(q, n, v)
     return [Els(q, n, rows) for rows in _subspaces(q, n, v)]
 
 

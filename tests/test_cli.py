@@ -9,6 +9,7 @@ import pytest
 
 from rankmetric import cli
 from rankmetric import codes as cd
+from rankmetric import rankgeom as rg
 from rankmetric.cli import main, parse_range
 from rankmetric.ffield import make_field
 
@@ -376,6 +377,50 @@ def test_table_ranges_checked(run, argv):
     rc, out, err = run(*argv)
     assert (rc, out) == (1, "")
     assert err == "error: need m, n >= 1 and rho >= 0\n"
+
+
+@pytest.mark.parametrize("text,argv", [
+    ("2 3 -3 0\n", ("code", "--file", "@")),
+    ("2 3 -3 0\n", ("code", "--file", "@", "--dual")),
+    ("2 3 -3 0\n", ("moments", "--code", "@")),
+    ("2 3 2 3\n1 2\n3 4\n5 6\n", ("code", "--file", "@")),
+    ("2 3 2 -1\n", ("code", "--file", "@", "--radius")),
+], ids=["n-negative", "n-negative-dual", "n-negative-moments", "k-above-n",
+        "k-negative"])
+def test_code_rejects_malformed_header(run, tmp_path, text, argv):
+    # n = -3 once printed a dual or died in numpy, and k = 3 > n = 2 was
+    # reported as dependent generator rows
+    path = tmp_path / "bad.code"
+    path.write_text(text)
+    rc, out, err = run(*(str(path) if a == "@" else a for a in argv))
+    n, k = text.split()[2:4]
+    assert (rc, out) == (1, "")
+    assert err == f"error: header needs 0 <= k <= n, got n={n} k={k}\n"
+
+
+def test_code_of_length_zero(run, tmp_path):
+    path = tmp_path / "empty.code"
+    path.write_text("2 3 0 0 1 1 0 1\n")
+    assert run("code", "--file", str(path), "--dual") \
+        == (0, "2 3 0 0 1 1 0 1\n", "")
+    rc, out, _ = run("code", "--file", str(path), "--radius")
+    assert rc == 0 and out.endswith("covering radius: 0\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("els", "--q", "2", "--n", "4", "--list"),
+    ("els", "--q", "2", "--n", "4", "--v", "2", "--list", "--format", "json"),
+], ids=["all-dims", "one-dim-json"])
+def test_els_list_guard_exits_1(run, monkeypatch, argv):
+    # --list once tried to enumerate up to 4.9e11 subspaces (q = 2, n = 12).
+    # With the guard lowered to 34, dimension 2 (35 subspaces) is refused
+    # before any dimension is listed
+    monkeypatch.setattr(rg, "BRUTE_GUARD", 34)
+    monkeypatch.setattr(rg, "enumerate_els", None)  # listing anything fails
+    rc, out, err = run(*argv)
+    assert (rc, out) == (1, "")
+    assert err == "error: ELS count 35 exceeds guard 34\n"
+    assert run(*argv[:5])[0] == 0  # the counts alone are fine
 
 
 def test_failing_command_prints_nothing(run):

@@ -1,8 +1,10 @@
 """Tests for the brute-force search oracles."""
 import itertools
+import random
 
 import pytest
 
+from rankmetric import _linalg
 from rankmetric import bounds as bd
 from rankmetric import oracle as oc
 from rankmetric.codes import min_rank_distance
@@ -37,6 +39,13 @@ def test_exhaustive_covering_trivia():
     assert not oc.exhaustive_min_covering(2, 2, 2, 1, 0).exists
     with pytest.raises(ValueError):
         oc.exhaustive_min_covering(2, 2, 2, -1, 3)
+
+
+def test_exhaustive_covering_more_centers_than_vectors():
+    # K - 1 > q^{mn} centers left at the root: the top-gains bound must sum
+    # every gain rather than wrap around
+    for K in (4, 5, 6, 9):
+        assert oc.exhaustive_min_covering(2, 1, 2, 0, K).exists == (K >= 4)
 
 
 def test_exhaustive_covering_budgets():
@@ -189,3 +198,51 @@ def test_exhaustive_covering_against_brute_force(q, m, n, rho):
     assert not any(len(ball[zero].union(*(ball[c] for c in more)))
                    == len(space)
                    for more in itertools.combinations(rest, K - 2))
+
+
+@pytest.mark.parametrize("q,m,n,rho,K", [
+    (2, 2, 2, 1, 3), (3, 2, 2, 1, 5), (2, 4, 2, 1, 8), (2, 3, 3, 2, 4)])
+def test_is_covering_rejects_a_minimum_covering_minus_one(q, m, n, rho, K):
+    # K = K_R here, so dropping any one center of a minimum covering
+    # leaves some vector uncovered
+    words = oc.exhaustive_min_covering(q, m, n, rho, K).witness
+    assert oc.is_covering(q, m, n, words, rho)
+    for i in range(K):
+        assert not oc.is_covering(q, m, n, words[:i] + words[i + 1:], rho)
+
+
+def _covers_pairwise(q, m, n, centers, rho):
+    """Scalar reference: the rank distance of every (vector, center) pair,
+    as the GF(q)-rank of the difference's m x n expansion."""
+    F, F1 = make_field(q, m), make_field(q, 1)
+    dists = [[_linalg.rank_field(F1, F.expand(
+        tuple(F.sub(a, b) for a, b in zip(v, c)))) for c in centers]
+        for v in itertools.product(range(F.order), repeat=n)]
+    return all(min(row) <= rho for row in dists)
+
+
+@pytest.mark.parametrize("q,m,n,rho,trials", [
+    (2, 2, 2, 1, 24), (2, 3, 2, 1, 12), (3, 2, 2, 1, 12), (5, 2, 2, 1, 6)])
+def test_is_covering_matches_pairwise_scan(q, m, n, rho, trials):
+    # random sets around the greedy size: plain samples, the greedy covering
+    # with one center swapped for a random vector, and with one added
+    rng = random.Random(1000 * q + 10 * m + n)
+    order = q ** m
+    greedy = list(oc.greedy_covering(q, m, n, rho).words)
+
+    def vector():
+        return tuple(rng.randrange(order) for _ in range(n))
+
+    seen = set()
+    for t in range(trials):
+        if t % 3 == 0:
+            centers = [vector() for _ in range(rng.randint(1, len(greedy)))]
+        elif t % 3 == 1:
+            centers = greedy[:]
+            centers[rng.randrange(len(centers))] = vector()
+        else:
+            centers = greedy + [vector()]
+        want = _covers_pairwise(q, m, n, centers, rho)
+        assert oc.is_covering(q, m, n, centers, rho) == want
+        seen.add(want)
+    assert seen == {True, False}

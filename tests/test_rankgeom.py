@@ -209,6 +209,17 @@ def test_enumerate_els_counts():
         rg.enumerate_els(2, 2, 3, 4)
 
 
+def test_enumerate_els_guard(monkeypatch):
+    # the guard is lowered so that a missing check fails fast instead of
+    # enumerating 2^24 subspaces
+    monkeypatch.setattr(rg, "BRUTE_GUARD", 35)
+    assert len(rg.enumerate_els(2, 3, 4, 2)) == 35
+    monkeypatch.setattr(rg, "BRUTE_GUARD", 34)
+    with pytest.raises(ValueError, match="^ELS count 35 exceeds guard 34$"):
+        rg.enumerate_els(2, 3, 4, 2)
+    assert len(rg.enumerate_els(2, 3, 4, 1)) == 15
+
+
 def test_els_membership_and_elements():
     F = make_field(2, 2)
     e = rg.make_els(2, 3, [(1, 0, 1), (0, 1, 1)])
@@ -452,6 +463,70 @@ def test_batch_rank_digit_mats_matches_elimination(q):
     got = _batch.rank_digit_mats(q, mats)
     want = [_linalg.rank_field(make_field(q, 1), [list(r) for r in mat]) for mat in mats]
     assert list(got) == want
+
+
+def _reference_ranks(q, mats):
+    F1 = make_field(q, 1)
+    return [_linalg.rank_field(F1, [[int(x) for x in r] for r in mat])
+            for mat in mats]
+
+
+def _column_encodings(q, mats):
+    """(N, n) encodings whose base-q digits are the columns of the (N, m, n)
+    mats: the words whose expansions they are."""
+    return (mats * q ** np.arange(mats.shape[1])[:, None]).sum(axis=1)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 4), (4, 1), (3, 5), (5, 3),
+                                 (4, 4)])
+def test_batch_kernels_on_rank_deficient_batches(q, m, n):
+    # products A B of random m x r and r x n factors have rank at most r,
+    # so every rank 0..min(m, n) shows up, unlike in uniform random batches
+    rng = np.random.default_rng(100 * q + 10 * m + n)
+    mats = np.concatenate([
+        rng.integers(0, q, (40, m, r)) @ rng.integers(0, q, (40, r, n)) % q
+        for r in range(min(m, n) + 1)])
+    rng.shuffle(mats)
+    want = _reference_ranks(q, mats)
+    assert set(want) == set(range(min(m, n) + 1))
+    assert list(_batch.rank_digit_mats(q, mats)) == want
+    assert list(_batch.rank_words(make_field(q, m),
+                                  _column_encodings(q, mats))) == want
+    if q == 2:  # the bit kernel on the rows as well as on the columns
+        rows = _column_encodings(2, mats.transpose(0, 2, 1))
+        assert list(_batch.rank_bits_gf2(rows)) == want
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("nmat", [0, 7])
+def test_batch_kernels_on_empty_and_zero_batches(q, nmat):
+    F = make_field(q, 3)
+    zeros = [0] * nmat
+    assert list(_batch.rank_words(F, np.zeros((nmat, 4), dtype=np.int64))) \
+        == zeros
+    assert list(_batch.rank_digit_mats(q, np.zeros((nmat, 3, 4)))) == zeros
+    assert list(_batch.rank_bits_gf2(np.zeros((nmat, 3)))) == zeros
+
+
+def test_batch_rank_words_gf2_16_top_bit():
+    # every word has bit 15 set, the top row of its 16 x 4 expansion
+    F = make_field(2, 16)
+    rng = np.random.default_rng(16)
+    words = rng.integers(0, 1 << 15, size=(200, 4)) | (1 << 15)
+    words[:50, 1:] = words[:50, :1]      # rank 1
+    words[50:100, 2:] = words[50:100, :2]  # rank <= 2
+    words[100:150, 3] = words[100:150, 0] ^ words[100:150, 1]  # rank <= 3
+    want = [rg.rank(F, w) for w in words]
+    assert set(want) == {1, 2, 3, 4}
+    assert list(_batch.rank_words(F, words)) == want
+
+
+@pytest.mark.parametrize("q,m,n", [(2, 3, 3), (3, 2, 3), (5, 2, 2)])
+def test_batch_rank_words_whole_ambient(q, m, n):
+    F = make_field(q, m)
+    words = np.concatenate(list(_batch.vector_chunks(F, n)))
+    assert list(_batch.rank_words(F, words)) == [rg.rank(F, w) for w in words]
 
 
 @pytest.mark.parametrize("q", [2, 3])
