@@ -34,7 +34,7 @@ print(f"  centers {centers} -> intersection {sorted(hit)}")
 
 print("\nelementary linear subspaces of GF(q^m)^3 (bases over GF(2)):")
 for v in range(4):
-    spaces = rg.enumerate_els(q, m, 3, v)
+    spaces = rg.enumerate_els(q, 3, v)
     print(f"  dimension {v}: {len(spaces)} = [3 {v}]_2 "
           f"= {rg.gaussian(3, v, 2)}")
 

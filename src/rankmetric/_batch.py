@@ -1,21 +1,24 @@
 """Vectorized (numpy) rank kernels over GF(q) and the chunked scans built on them.
 
-rank_words is the one rank entry point for scans over many vectors of
-GF(q^m)^n.  It eliminates the m x n expansions of a batch in lockstep,
-keeping one pivot row per leading column and per sample: on base-q digit
-arrays for odd q, and on bitmask rows for q = 2.  A missing pivot is a zero
-row, and reducing by a zero row changes nothing, so every elimination step
-is one unconditional array operation on all samples.  Scans feed it CHUNK
-vectors at a time from vector_chunks, so their peak memory does not grow
-with the ambient size; rank_table caches the ranks of a whole ambient.
+pack, unpack, vector_chunks and product are the one vector layer.  A vector
+of GF(q^m)^n is an (n,) row of element encodings or one packed integer
+sum_j x_j * order^j: pack and unpack convert, vector_chunks streams the
+space in odometer order (position = packed encoding), and product is the
+one x G.  In both forms the base-q digits are the coordinates over GF(q),
+so add and sub work digit-wise on either.
+
+rank_words is the one rank entry point for scans over many vectors.  It
+eliminates the m x n expansions of a batch in lockstep, keeping one pivot
+row per leading column and per sample: on base-q digit arrays for odd q,
+and on bitmask rows for q = 2.  A missing pivot is a zero row, and reducing
+by a zero row changes nothing, so every elimination step is one
+unconditional array operation on all samples.  Scans feed it CHUNK vectors
+at a time, so their peak memory does not grow with the ambient size;
+rank_table caches the ranks of a whole ambient.
 
 balls is the one rank-ball builder: the translates c + o of offsets o (a
 ball, or one shell of it read off rank_table) around many centers c, for
 the covering radius and the covering searches alike.
-
-Vectors are encoded either as (N, n) arrays of element encodings or packed
-into one integer sum_j x_j * order^j.  In both forms the base-q digits are
-the coordinates over GF(q), so add and sub work digit-wise on either.
 """
 from __future__ import annotations
 
@@ -73,30 +76,37 @@ def sub(field, a, b):
     return a ^ b if field.q == 2 else _digitwise(field.q, a, b, -1)
 
 
-def vector_chunks(field, k, G=None, packed=None):
-    """Every vector x of GF(q^m)^k in odometer order, or only those in the
-    int64 array packed of packed encodings, CHUNK at a time.
+def pack(field, xs):
+    """Packed encodings of the rows of an (N, n) array, or of one vector."""
+    xs = np.asarray(xs, dtype=np.int64)
+    return xs @ field.order ** np.arange(xs.shape[-1], dtype=np.int64)
 
-    Vector v has coordinates x_i = (v // order^i) mod order.  Yields (N, k)
-    int64 arrays of encodings, or with a (k, n) integer array G the (N, n)
-    products x G: the codewords of messages x, or the syndromes of vectors
-    x when G is a transposed parity-check matrix.
-    """
-    total = field.order ** k if packed is None else len(packed)
-    scale = field.order ** np.arange(k, dtype=np.int64)
-    luts = {} if G is None else {(i, j): mul_lut(field, int(g))
-                                 for (i, j), g in np.ndenumerate(G) if g}
+
+def unpack(field, packed, n):
+    """(N, n) int64 array of the vectors of GF(q^m)^n packed as packed."""
+    xs = np.asarray(packed, dtype=np.int64)[:, None] // \
+        field.order ** np.arange(n, dtype=np.int64)
+    xs %= field.order  # in place: one (N, n) array at a time
+    return xs
+
+
+def vector_chunks(field, k):
+    """Every vector of GF(q^m)^k in odometer order, the vector with packed
+    encoding v at position v: (N, k) int64 arrays, CHUNK at a time."""
+    total = field.order ** k
     for start in range(0, total, CHUNK):
-        idx = np.arange(start, min(start + CHUNK, total), dtype=np.int64) \
-            if packed is None else packed[start:start + CHUNK]
-        xs = idx[:, None] // scale % field.order
-        if G is None:
-            yield xs
-            continue
-        out = np.zeros((len(idx), G.shape[1]), dtype=np.int64)
-        for (i, j), lut in luts.items():
-            out[:, j] = add(field, out[:, j], lut[xs[:, i]])
-        yield out
+        yield unpack(field, np.arange(start, min(start + CHUNK, total)), k)
+
+
+def product(field, xs, G):
+    """(N, n) products x G of the rows x of an (N, k) array of encodings and
+    a (k, n) integer array G: the codewords of messages x, or the syndromes
+    of vectors x when G is a transposed parity-check matrix."""
+    out = np.zeros((len(xs), G.shape[1]), dtype=np.int64)
+    for (i, j), g in np.ndenumerate(G):
+        if g:
+            out[:, j] = add(field, out[:, j], mul_lut(field, int(g))[xs[:, i]])
+    return out
 
 
 def balls(field, offsets, centers):

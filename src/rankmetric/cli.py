@@ -163,7 +163,7 @@ def cmd_els(args):
     if args.list:
         for v in dims:  # refuse before listing anything
             rg.check_els_count(args.q, args.n, v)
-        bases = {v: [e.basis for e in rg.enumerate_els(args.q, 1, args.n, v)]
+        bases = {v: [e.basis for e in rg.enumerate_els(args.q, args.n, v)]
                  for v in dims}
         payload["bases"] = {str(v): [[list(r) for r in b] for b in bs]
                             for v, bs in bases.items()}
@@ -433,7 +433,7 @@ def _suite_geometry(trials, seed):
                         bad.append((m, n, r1, r2, dist, closed, brute))
     checks.append(("ball intersections closed vs brute", not bad, str(bad)))
     for n in range(1, 5):
-        good = all(len(rg.enumerate_els(2, 1, n, v)) == rg.gaussian(n, v, 2)
+        good = all(len(rg.enumerate_els(2, n, v)) == rg.gaussian(n, v, 2)
                    for v in range(n + 1))
         checks.append((f"subspace counts n={n}", good, ""))
     return checks

@@ -144,7 +144,8 @@ def _word_chunks(code):
     if isinstance(code, Codebook):
         return _slices(np.array(code.words, dtype=np.int64))
     G = np.array(code.G, dtype=np.int64).reshape(code.k, code.n)
-    return _batch.vector_chunks(code.field, code.k, G)
+    return (_batch.product(code.field, xs, G)
+            for xs in _batch.vector_chunks(code.field, code.k))
 
 
 def _class_chunks(code):
@@ -154,8 +155,8 @@ def _class_chunks(code):
     F = code.field
     G = np.array(code.G, dtype=np.int64).reshape(code.k, code.n)
     for j in range(code.k):
-        for words in _batch.vector_chunks(F, code.k - j - 1, G[j + 1:]):
-            yield _batch.add(F, words, G[j])
+        for xs in _batch.vector_chunks(F, code.k - j - 1):
+            yield _batch.add(F, _batch.product(F, xs, G[j + 1:]), G[j])
 
 
 def _weight_distribution(code, weights):
@@ -269,16 +270,15 @@ def covering_radius(code):
         if not H:  # k = n: the whole space covers itself
             return 0
         HT = np.array(H, dtype=np.int64).T
-        scale = F.order ** np.arange(len(H), dtype=np.int64)
         hit = np.zeros(F.order ** len(H), dtype=bool)
 
         def reach(shell):
-            return (s @ scale for s in _batch.vector_chunks(F, n, HT, shell))
+            return [_batch.pack(F, _batch.product(
+                F, _batch.unpack(F, shell, n), HT))]
     else:
-        words = np.array(code.words, dtype=np.int64) @ \
-            F.order ** np.arange(n, dtype=np.int64)
         hit = np.zeros(ambient, dtype=bool)
-        reach = functools.partial(_batch.balls, F, centers=words)
+        reach = functools.partial(_batch.balls, F,
+                                  centers=_batch.pack(F, code.words))
     for rho in range(n + 1):
         for i, part in enumerate(_slices(_batch.rank_table(F, n))):
             shell = np.flatnonzero(part == rho)
@@ -337,13 +337,12 @@ def transpose_code(code):
     F, n = code.field, code.n
     if F.order ** n > BRUTE_GUARD:
         raise ValueError("ambient exceeds guard")
-    digits = _batch.digits_table(F)
-    scale = F.q ** np.arange(n, dtype=np.int64)
+    digits, F1 = _batch.digits_table(F), make_field(F.q, 1)
     words = []
     for chunk in _word_chunks(code):
-        # digits[chunk][w, j, i] is entry (i, j) of word w's expansion; row i
-        # becomes symbol i of the transposed word
-        words += (digits[chunk].transpose(0, 2, 1) @ scale).tolist()
+        # digits[chunk][w, j, i] is entry (i, j) of word w's expansion; row i,
+        # packed over GF(q), becomes symbol i of the transposed word
+        words += _batch.pack(F1, digits[chunk].transpose(0, 2, 1)).tolist()
     return make_codebook(make_field(F.q, n), words)
 
 
@@ -383,7 +382,7 @@ def mrd_els_check(code):
     F, n, k = code.field, code.n, code.k
     if n > F.m:
         raise ValueError("requires n <= m")
-    spaces = enumerate_els(F.q, F.m, n, n - k)
+    spaces = enumerate_els(F.q, n, n - k)
     H = dual(code).G
     return all(
         _linalg.rank_field(F, [[dot(F, h, b) for b in els.basis] for h in H])

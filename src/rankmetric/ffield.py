@@ -319,10 +319,8 @@ class Field:
     def from_coords(self, cs, basis=None):
         if basis is None:
             return self.from_digits(cs)
-        x = 0
-        for c, b in zip(cs, basis):
-            x = self.add(x, self.mul(c % self.q, b))
-        return x
+        return _linalg.lincomb(self, [c % self.q for c in cs],
+                               [(b,) for b in basis], 1)[0]
 
     def expand(self, vec, basis=None):
         """m x n matrix over GF(q): column j holds the coordinates of vec[j]."""

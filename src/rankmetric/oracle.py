@@ -18,9 +18,10 @@ The exact covering search prunes by two rules that lose no covering:
   numbers of still-uncovered vectors in one ball, so a branch whose sum
   falls short of what is left uncovered holds no covering.
 
-Vectors in GF(q^m)^n are encoded as integers sum_i c_i * (q^m)^i, the same
-odometer convention the code enumerators use; rank weights and balls come
-from _batch.rank_table and _batch.balls, shared with the covering radius.
+Vectors in GF(q^m)^n are packed into integers by _batch.pack, the odometer
+convention the code enumerators use; rank weights and balls come from
+_batch.rank_table and _batch.balls, shared with the covering radius.  Every
+witness is re-checked by is_covering, a scalar scan independent of _batch.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ import numpy as np
 from . import _batch
 from .codes import make_code, make_codebook, make_zero_code
 from .ffield import make_field
-from .rankgeom import canonical_rank_vector, rank
+from .rankgeom import canonical_rank_vector, enumerate_vectors, rank_distance
 
 
 class InconclusiveSearch(RuntimeError):
@@ -76,14 +77,6 @@ class CoveringDecision:
     of codewords when one exists."""
     exists: bool
     witness: Optional[tuple] = None
-
-
-def _decode(order, n, v):
-    return tuple((v // order ** i) % order for i in range(n))
-
-
-def _encode(order, vec):
-    return sum(x * order ** i for i, x in enumerate(vec))
 
 
 def _covering_state(q, m, n, rho):
@@ -138,17 +131,21 @@ def _check_params(q, m, n, rho):
 
 def is_covering(q, m, n, centers, rho):
     """Independent verification scan: every vector of GF(q^m)^n lies within
-    rank distance rho of some center.  Deliberately avoids the bitmask
-    machinery the searches use."""
+    rank distance rho of some center.  Deliberately avoids the array
+    machinery the searches use; guarded by the ambient size q^{mn}."""
     _check_params(q, m, n, rho)
     F = make_field(q, m)
     centers = [tuple(int(x) for x in c) for c in centers]
-    for v in range(F.order ** n):
-        w = _decode(F.order, n, v)
-        if all(rank(F, tuple(F.sub(a, b) for a, b in zip(w, c))) > rho
-               for c in centers):
-            return False
-    return True
+    return all(any(rank_distance(F, v, c) <= rho for c in centers)
+               for v in enumerate_vectors(F, n))
+
+
+def _verified(F, n, centers, rho, search):
+    """The packed centers as sorted vectors, which is_covering must accept."""
+    words = sorted(map(tuple, _batch.unpack(F, centers, n).tolist()))
+    if not is_covering(F.q, F.m, n, words, rho):
+        raise AssertionError(f"{search} produced a non-covering; bug")
+    return words
 
 
 def exhaustive_min_covering(q, m, n, rho, K, *, max_nodes=MAX_NODES):
@@ -176,7 +173,7 @@ def exhaustive_min_covering(q, m, n, rho, K, *, max_nodes=MAX_NODES):
     F, Q, offsets, unc, gains = _covering_state(q, m, n, rho)
     if K < 1:
         return CoveringDecision(False)
-    second = [_encode(F.order, canonical_rank_vector(F, n, r))
+    second = [int(_batch.pack(F, canonical_rank_vector(F, n, r)))
               for r in range(1, min(m, n) + 1)]
     budget = _Budget(max_nodes, f"K={K}", f"best coverage {{}} of {Q} vectors")
     chosen = [0]
@@ -208,8 +205,8 @@ def exhaustive_min_covering(q, m, n, rho, K, *, max_nodes=MAX_NODES):
         return False
 
     if extend(Q - len(_cover(F, offsets, unc, gains, 0))):
-        words = sorted(_decode(F.order, n, c) for c in chosen)
-        return CoveringDecision(True, tuple(words))
+        return CoveringDecision(
+            True, tuple(_verified(F, n, chosen, rho, "exhaustive search")))
     return CoveringDecision(False)
 
 
@@ -225,10 +222,7 @@ def greedy_covering(q, m, n, rho):
         centers.append(c)
         _cover(F, offsets, unc, gains, c)
 
-    words = [_decode(F.order, n, c) for c in centers]
-    if not is_covering(q, m, n, words, rho):
-        raise AssertionError("greedy produced a non-covering; bug")
-    return make_codebook(F, words)
+    return make_codebook(F, _verified(F, n, centers, rho, "greedy"))
 
 
 def max_code_search(q, m, n, d, *, max_nodes=MAX_NODES):

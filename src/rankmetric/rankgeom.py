@@ -199,7 +199,8 @@ def make_els(q, n, rows):
 
 
 def _subspaces(q, n, v):
-    """All v-dim subspaces of GF(q)^n as RREF bases (tuples of rows)."""
+    """All v-dim subspaces of GF(q)^n as RREF bases, within the ELS guard."""
+    check_els_count(q, n, v)
     for pivots in itertools.combinations(range(n), v):
         free = [
             (i, c)
@@ -223,12 +224,11 @@ def check_els_count(q, n, v):
         raise ValueError(f"ELS count {count} exceeds guard {BRUTE_GUARD}")
 
 
-def enumerate_els(q, m, n, v):
-    """All ELS's of dimension v in GF(q^m)^n (they biject with v-dim
-    subspaces of GF(q)^n, so there are [n v]_q of them, independent of m)."""
+def enumerate_els(q, n, v):
+    """All ELS's of dimension v in GF(q^m)^n, for every m: they biject with
+    the v-dim subspaces of GF(q)^n, so there are [n v]_q of them."""
     if not 0 <= v <= n:
         raise ValueError(f"dimension {v} outside [0, {n}]")
-    check_els_count(q, n, v)
     return [Els(q, n, rows) for rows in _subspaces(q, n, v)]
 
 
@@ -315,12 +315,8 @@ def intersection_vectors(field, balls):
     balls = list(balls)
     if not balls:
         raise ValueError("need at least one ball")
-    n = len(balls[0][0])
-    out = []
-    for x in enumerate_vectors(field, n):
-        if all(rank_distance(field, x, c) <= r for c, r in balls):
-            out.append(x)
-    return out
+    return [x for x in enumerate_vectors(field, len(balls[0][0]))
+            if all(rank_distance(field, x, c) <= r for c, r in balls)]
 
 
 def intersection_volume_brute(field, balls):
@@ -357,10 +353,5 @@ def large_diameter_set(q, m, n, r):
         raise ValueError("requires 3 <= n <= m")
     if not 2 <= 2 * r < n:
         raise ValueError("requires 2 <= 2r < n")
-    field = make_field(q, m)
-    size = field.order ** (2 * r)
-    if size > BRUTE_GUARD:
-        raise ValueError(f"set size {size} exceeds guard {BRUTE_GUARD}")
     tail = (0,) * (n - 2 * r)
-    return [head + tail for head in
-            itertools.product(field.elements(), repeat=2 * r)]
+    return [head + tail for head in enumerate_vectors(make_field(q, m), 2 * r)]

@@ -332,15 +332,11 @@ def macwilliams(enum, method="krawtchouk"):
 
 def trivial_mrd_enumerator(r, q, m):
     """Rank enumerator of any (r, r-1, 2) MRD code -- equivalently of the
-    dual of a single full-rank vector in GF(q^m)^r:
-    q^{-m} { a_r + (q^m - 1) b_r }."""
+    dual of a single full-rank vector in GF(q^m)^r, the n = r case of
+    dual_vector_enumerator: q^{-m} { a_r + (q^m - 1) b_r }."""
     if not 0 <= r <= m:
         raise ValueError(f"rank {r} outside [0, {m}]")
-    qm = q ** m
-    a, b = a_family(r, q), b_family(r, q)
-    coeffs = [Fraction(a.coeff(u, m) + (qm - 1) * b.coeff(u, m), qm)
-              for u in range(r + 1)]
-    return make_enumerator(q, m, r, coeffs)
+    return dual_vector_enumerator(r, r, q, m)
 
 
 def dual_vector_enumerator(r, n, q, m):

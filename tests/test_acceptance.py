@@ -350,12 +350,12 @@ def test_criterion_12_els_combinatorics():
     bad = []
     for n in range(1, 5):
         for v in range(n + 1):
-            spaces = rg.enumerate_els(2, 1, n, v)
+            spaces = rg.enumerate_els(2, n, v)
             if len(spaces) != rg.gaussian(n, v, 2):
                 bad.append(("count", n, v))
             for V in spaces:
                 for a in range(v + 1):
-                    subs = [A for A in rg.enumerate_els(2, 1, n, a)
+                    subs = [A for A in rg.enumerate_els(2, n, a)
                             if V.contains_els(A)]
                     if len(subs) != rg.gaussian(v, a, 2):
                         bad.append(("subcount", n, v, a))

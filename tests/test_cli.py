@@ -407,6 +407,25 @@ def test_code_of_length_zero(run, tmp_path):
     assert rc == 0 and out.endswith("covering radius: 0\n")
 
 
+def test_code_radius_past_the_guard_is_skipped(run, tmp_path):
+    # GF(2^9)^3 has 2^27 > 2^24 vectors: the distribution of the one-class
+    # code is reported, its covering radius skipped, and the exit is 0
+    path = tmp_path / "big.code"
+    path.write_text("2 9 3 1\n1 2 4\n")
+    reason = f"ambient size {2 ** 27} exceeds guard"
+    rc, out, err = run("code", "--file", str(path), "--radius")
+    assert (rc, err) == (0, "")
+    assert out.endswith("rank distribution: (1, 0, 0, 511)\n"
+                        f"covering radius: skipped ({reason})\n")
+    rc, out, err = run("code", "--file", str(path), "--radius",
+                       "--format", "json")
+    payload = json.loads(out)
+    assert (rc, err) == (0, "")
+    assert payload["covering_radius"] is None
+    assert payload["covering_radius_skipped"] == reason
+    assert payload["rank_distribution"] == [1, 0, 0, 511]
+
+
 @pytest.mark.parametrize("argv", [
     ("els", "--q", "2", "--n", "4", "--list"),
     ("els", "--q", "2", "--n", "4", "--v", "2", "--list", "--format", "json"),

@@ -67,6 +67,18 @@ def test_codeword_stream():
     assert zero.k == 0 and zero.size == 1
 
 
+@pytest.mark.parametrize("q,m,n,k", [(2, 2, 4, 3), (3, 2, 3, 2)])
+def test_encode_matches_codeword_stream(q, m, n, k):
+    # codeword w of the stream is the codeword of message w in
+    # message-odometer order, msg_i = (w // order^i) mod order
+    F = make_field(q, m)
+    C = random_linear_codes(F, n, k, 1, seed=q)[0]
+    words = list(cd.codewords(C))
+    assert len(words) == F.order ** k
+    for w, word in enumerate(words):
+        assert C.encode([w // F.order ** i % F.order for i in range(k)]) == word
+
+
 def test_contains():
     F = make_field(2, 3)
     C = cd.gabidulin(F, F.polynomial_basis(), 2)
@@ -369,18 +381,18 @@ def test_covering_radius_reads_shells_in_chunks(monkeypatch):
     codes += [cd.make_codebook(F, cd.codewords(C)) for C in codes]
     expected = [cd.covering_radius(C) for C in codes]
     assert expected[2] == 1
-    builder, chunks = _batch.balls, _batch.vector_chunks
+    builder, unpacker = _batch.balls, _batch.unpack
 
     def bounded_balls(field, offsets, centers):
         assert 1 <= len(offsets) <= 64
         return builder(field, offsets, centers)
 
-    def bounded_chunks(field, k, G=None, packed=None):
-        assert packed is not None and 1 <= len(packed) <= 64
-        return chunks(field, k, G, packed)
+    def bounded_unpack(field, packed, n):
+        assert 1 <= len(packed) <= 64
+        return unpacker(field, packed, n)
     monkeypatch.setattr(_batch, "CHUNK", 64)
     monkeypatch.setattr(_batch, "balls", bounded_balls)
-    monkeypatch.setattr(_batch, "vector_chunks", bounded_chunks)
+    monkeypatch.setattr(_batch, "unpack", bounded_unpack)
     assert [cd.covering_radius(C) for C in codes] == expected
 
 
@@ -435,7 +447,7 @@ def els_scan_mrd(code):
     dimension n - k and look for a nonzero one passing the parity checks."""
     F, n, k = code.field, code.n, code.k
     H = cd.dual(code).G
-    for els in rg.enumerate_els(F.q, F.m, n, n - k):
+    for els in rg.enumerate_els(F.q, n, n - k):
         for v in els.elements(F):
             if any(v) and all(cd.dot(F, h, v) == 0 for h in H):
                 return False
@@ -607,7 +619,7 @@ def test_dimension_determined_by_covering_radius():
         assert cd.covering_radius(C) == 3 - C.k
     # ELS codes: rho = n - dim
     for v in range(3):
-        for els in rg.enumerate_els(2, 3, 3, v):
+        for els in rg.enumerate_els(2, 3, v):
             assert cd.covering_radius(cd.els_code(F8, els)) == 3 - v
 
 

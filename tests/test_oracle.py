@@ -7,6 +7,7 @@ import pytest
 from rankmetric import _linalg
 from rankmetric import bounds as bd
 from rankmetric import oracle as oc
+from rankmetric import rankgeom as rg
 from rankmetric.codes import min_rank_distance
 from rankmetric.ffield import make_field
 from rankmetric.rankgeom import rank
@@ -209,6 +210,41 @@ def test_is_covering_rejects_a_minimum_covering_minus_one(q, m, n, rho, K):
     assert oc.is_covering(q, m, n, words, rho)
     for i in range(K):
         assert not oc.is_covering(q, m, n, words[:i] + words[i + 1:], rho)
+
+
+def test_is_covering_guard(monkeypatch):
+    # GF(2^2)^2 has 16 vectors; with the guard lowered below that the scan
+    # is refused instead of run
+    monkeypatch.setattr(rg, "BRUTE_GUARD", 16)
+    assert oc.is_covering(2, 2, 2, [(0, 0)], 2)
+    monkeypatch.setattr(rg, "BRUTE_GUARD", 15)
+    with pytest.raises(ValueError, match="^ambient size 16 exceeds guard 15$"):
+        oc.is_covering(2, 2, 2, [(0, 0)], 2)
+
+
+def test_covering_witnesses_are_reverified(monkeypatch):
+    """Both covering searches hand their witness to is_covering before
+    returning it, and refuse to return a witness it rejects."""
+    checked = []
+    real = oc.is_covering
+
+    def spy(q, m, n, centers, rho):
+        checked.append((q, m, n, tuple(centers), rho))
+        return real(q, m, n, centers, rho)
+    monkeypatch.setattr(oc, "is_covering", spy)
+    dec = oc.exhaustive_min_covering(2, 3, 3, 2, 4)
+    book = oc.greedy_covering(2, 2, 2, 1)
+    assert checked == [(2, 3, 3, dec.witness, 2), (2, 2, 2, book.words, 1)]
+    assert not oc.exhaustive_min_covering(2, 2, 2, 1, 2).exists
+    assert len(checked) == 2  # no witness, nothing to check
+
+    monkeypatch.setattr(oc, "is_covering", lambda *args: False)
+    with pytest.raises(AssertionError,
+                       match="^exhaustive search produced a non-covering; bug$"):
+        oc.exhaustive_min_covering(2, 2, 2, 1, 3)
+    with pytest.raises(AssertionError,
+                       match="^greedy produced a non-covering; bug$"):
+        oc.greedy_covering(2, 2, 2, 1)
 
 
 def _covers_pairwise(q, m, n, centers, rho):

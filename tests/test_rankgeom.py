@@ -196,28 +196,25 @@ def test_enumerate_els_counts():
     for q in (2, 3):
         for n in range(5):
             for v in range(n + 1):
-                els = rg.enumerate_els(q, 2, n, v)
+                els = rg.enumerate_els(q, n, v)
                 assert len(els) == rg.gaussian(n, v, q)
                 assert len({e.basis for e in els}) == len(els)
-    # the family does not depend on m
-    assert {e.basis for e in rg.enumerate_els(2, 2, 3, 1)} == \
-           {e.basis for e in rg.enumerate_els(2, 5, 3, 1)}
-    assert len(rg.enumerate_els(2, 3, 3, 1)) == 7
-    assert len(rg.enumerate_els(2, 3, 3, 2)) == 7
-    assert rg.enumerate_els(2, 3, 4, 0) == [rg.make_els(2, 4, [])]
+    assert len(rg.enumerate_els(2, 3, 1)) == 7
+    assert len(rg.enumerate_els(2, 3, 2)) == 7
+    assert rg.enumerate_els(2, 4, 0) == [rg.make_els(2, 4, [])]
     with pytest.raises(ValueError):
-        rg.enumerate_els(2, 2, 3, 4)
+        rg.enumerate_els(2, 3, 4)
 
 
 def test_enumerate_els_guard(monkeypatch):
     # the guard is lowered so that a missing check fails fast instead of
     # enumerating 2^24 subspaces
     monkeypatch.setattr(rg, "BRUTE_GUARD", 35)
-    assert len(rg.enumerate_els(2, 3, 4, 2)) == 35
+    assert len(rg.enumerate_els(2, 4, 2)) == 35
     monkeypatch.setattr(rg, "BRUTE_GUARD", 34)
     with pytest.raises(ValueError, match="^ELS count 35 exceeds guard 34$"):
-        rg.enumerate_els(2, 3, 4, 2)
-    assert len(rg.enumerate_els(2, 3, 4, 1)) == 15
+        rg.enumerate_els(2, 4, 2)
+    assert len(rg.enumerate_els(2, 4, 1)) == 15
 
 
 def test_els_membership_and_elements():
@@ -240,7 +237,7 @@ def test_support_els():
     assert s.basis == ((1, 0, 1), (0, 1, 1))
     assert s.contains(F, (1, 2, 3))
     # uniqueness: no other dim-2 ELS contains the vector
-    hits = [e for e in rg.enumerate_els(2, 2, 3, 2) if e.contains(F, (1, 2, 3))]
+    hits = [e for e in rg.enumerate_els(2, 3, 2) if e.contains(F, (1, 2, 3))]
     assert hits == [s]
 
 
@@ -249,7 +246,7 @@ def test_complements_counts():
     a0 = rg.make_els(2, 2, [])
     assert rg.complements(a0, v2) == [v2]
     total_pairs = 0
-    for a in rg.enumerate_els(2, 2, 2, 1):
+    for a in rg.enumerate_els(2, 2, 1):
         cs = rg.complements(a, v2)
         assert len(cs) == 2  # q^{a(v-a)} = 2
         for b in cs:
@@ -265,6 +262,19 @@ def test_complements_counts():
     with pytest.raises(ValueError):
         rg.complements(rg.make_els(2, 2, [(1, 1)]),
                        rg.make_els(2, 2, [(1, 0)]))
+
+
+def test_complements_guard(monkeypatch):
+    # a line A in a 4-dim V: the complements are found among the
+    # [4 3]_2 = 15 subspaces of V of dimension 3, which the guard counts
+    v4 = rg.make_els(2, 4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+                            (0, 0, 0, 1)])
+    a1 = rg.make_els(2, 4, [(1, 1, 0, 0)])
+    monkeypatch.setattr(rg, "BRUTE_GUARD", 15)
+    assert len(rg.complements(a1, v4)) == 8  # q^{1*3}
+    monkeypatch.setattr(rg, "BRUTE_GUARD", 14)
+    with pytest.raises(ValueError, match="^ELS count 15 exceeds guard 14$"):
+        rg.complements(a1, v4)
 
 
 def test_project_basics():
@@ -294,7 +304,7 @@ def test_project_rank_splitting_and_injectivity():
             if rg.rank(F, v) == 2]
     assert len(full) == rg.sphere_count(2, 2, 2, 2)
     for u in full:
-        for A in rg.enumerate_els(2, 2, 2, 1):
+        for A in rg.enumerate_els(2, 2, 1):
             seen_a, seen_b = set(), set()
             for B in rg.complements(A, V):
                 ua, ub = rg.project(F, u, A, B)
@@ -540,15 +550,20 @@ def test_rank_table_full_agreement(q):
 
 def test_vector_chunks_of_packed_encodings():
     """Products x G of chosen vectors x, given by packed encodings, are the
-    matching rows of the full odometer stream."""
+    matching rows of the full odometer stream and the scalar x G, and pack
+    inverts unpack."""
     F = make_field(3, 2)
     G = np.array([[1, 2], [0, 5], [7, 1]])
-    full = np.concatenate(list(_batch.vector_chunks(F, 3, G)))
+    xs = np.concatenate(list(_batch.vector_chunks(F, 3)))
+    full = _batch.product(F, xs, G)
     packed = np.array([0, 5, 80, 400, 728])
-    got = np.concatenate(list(_batch.vector_chunks(F, 3, G, packed)))
+    got = _batch.product(F, _batch.unpack(F, packed, 3), G)
     assert (got == full[packed]).all()
-    assert (next(_batch.vector_chunks(F, 3, packed=packed))
-            == np.concatenate(list(_batch.vector_chunks(F, 3)))[packed]).all()
+    assert got.tolist() == [list(_linalg.lincomb(F, x, G.tolist(), 2))
+                            for x in xs[packed].tolist()]
+    assert (_batch.unpack(F, packed, 3) == xs[packed]).all()
+    assert (_batch.pack(F, xs) == np.arange(len(xs))).all()
+    assert _batch.pack(F, xs[400]) == 400
 
 
 def test_batch_lut_helpers():

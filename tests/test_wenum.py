@@ -480,12 +480,14 @@ def test_trivial_mrd_enumerator():
     code = cd.dual(cd.make_code(F, [list(v)]))
     assert w.trivial_mrd_enumerator(2, 2, 2).coeffs \
         == tuple(cd.rank_distribution(code))
-    # n = r specialization of the dual-of-vector formula
-    for q in (2, 3):
-        for m in range(1, 4):
-            for r in range(m + 1):
-                assert (w.trivial_mrd_enumerator(r, q, m).coeffs
-                        == w.dual_vector_enumerator(r, r, q, m).coeffs)
+    # the brute-force dual of a full-rank g in GF(q^m)^r
+    for q, m, r in ((2, 3, 3), (2, 3, 2), (3, 2, 2)):
+        F = make_field(q, m)
+        g = F.polynomial_basis()[:r]
+        assert rank(F, g) == r
+        dual = cd.dual(cd.make_code(F, [list(g)]))
+        assert w.trivial_mrd_enumerator(r, q, m).coeffs \
+            == tuple(cd.rank_distribution(dual)), (q, m, r)
     with pytest.raises(ValueError):
         w.trivial_mrd_enumerator(3, 2, 2)
 
