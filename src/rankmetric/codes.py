@@ -24,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _batch, _linalg
+from . import _batch, _linalg, rankgeom
 from .ffield import Field, make_field
-from .rankgeom import BRUTE_GUARD, enumerate_els, rank
 
 
 # ---------------------------------------------------------------------------
@@ -89,16 +88,19 @@ def make_code(field, G):
         n = len(G[0])
         if any(len(row) != n for row in G):
             raise ValueError("ragged generator matrix")
-        for row in G:
-            for x in row:
-                if not 0 <= x < field.order:
-                    raise ValueError(f"encoding {x} outside field")
+        _check_encodings(field, G)
         if _linalg.rank_field(field, [list(r) for r in G]) < len(G):
             raise ValueError("generator rows are dependent")
     else:
         raise ValueError("empty generator needs an explicit length; "
                          "use make_zero_code")
     return LinearCode(field, n, G)
+
+
+def _check_encodings(field, rows):
+    bad = next((x for r in rows for x in r if not 0 <= x < field.order), None)
+    if bad is not None:
+        raise ValueError(f"encoding {bad} outside field")
 
 
 def make_zero_code(field, n):
@@ -113,6 +115,7 @@ def make_codebook(field, words):
     n = len(words[0])
     if any(len(w) != n for w in words):
         raise ValueError("ragged codewords")
+    _check_encodings(field, words)
     return Codebook(field, tuple(words))
 
 
@@ -126,7 +129,7 @@ def codewords(code):
     if isinstance(code, Codebook):
         yield from code.words
         return
-    if code.size > BRUTE_GUARD:
+    if code.size > rankgeom.BRUTE_GUARD:
         raise ValueError(f"codebook size {code.size} exceeds guard")
     for words in _word_chunks(code):
         yield from map(tuple, words.tolist())
@@ -166,7 +169,7 @@ def _weight_distribution(code, weights):
     F, n = code.field, code.n
     linear = isinstance(code, LinearCode)
     count = (code.size - 1) // (F.order - 1) if linear else code.size
-    if count > BRUTE_GUARD:
+    if count > rankgeom.BRUTE_GUARD:
         what = "scalar class count" if linear else "codebook size"
         raise ValueError(f"{what} {count} exceeds guard")
     counts = np.zeros(n + 1, dtype=np.int64)
@@ -194,10 +197,8 @@ def min_rank_distance(code):
     time.  Codes with fewer than two words have no pairs and return None.
     """
     if isinstance(code, LinearCode):
-        if code.k == 0:
-            return None
         dist = rank_distribution(code)
-        return next(i for i in range(1, len(dist)) if dist[i])
+        return next((i for i in range(1, len(dist)) if dist[i]), None)
     if code.size < 2:
         return None
     F = code.field
@@ -263,7 +264,7 @@ def covering_radius(code):
     """
     F, n = code.field, code.n
     ambient = F.order ** n
-    if ambient > BRUTE_GUARD:
+    if ambient > rankgeom.BRUTE_GUARD:
         raise ValueError(f"ambient size {ambient} exceeds guard")
     if isinstance(code, LinearCode):
         H = dual(code).G
@@ -304,7 +305,7 @@ def gabidulin(field, g, k, a=1):
         raise ValueError(f"length {n} exceeds extension degree {field.m}")
     if math.gcd(a, field.m) != 1:
         raise ValueError(f"Frobenius power {a} not coprime to m={field.m}")
-    if rank(field, g) < n:
+    if rankgeom.rank(field, g) < n:
         raise ValueError("generator vector must have full rank n")
     if not 1 <= k <= n:
         raise ValueError(f"dimension {k} outside [1, {n}]")
@@ -335,7 +336,7 @@ def transpose_code(code):
     result is an explicit Codebook.  Both ambients use polynomial bases.
     """
     F, n = code.field, code.n
-    if F.order ** n > BRUTE_GUARD:
+    if F.order ** n > rankgeom.BRUTE_GUARD:
         raise ValueError("ambient exceeds guard")
     digits, F1 = _batch.digits_table(F), make_field(F.q, 1)
     words = []
@@ -382,7 +383,7 @@ def mrd_els_check(code):
     F, n, k = code.field, code.n, code.k
     if n > F.m:
         raise ValueError("requires n <= m")
-    spaces = enumerate_els(F.q, n, n - k)
+    spaces = rankgeom.enumerate_els(F.q, n, n - k)
     H = dual(code).G
     return all(
         _linalg.rank_field(F, [[dot(F, h, b) for b in els.basis] for h in H])
@@ -395,7 +396,7 @@ def array_view(code, basis=None):
     F = code.field
     if basis is not None and not F.is_basis(basis):
         raise ValueError("dependent basis")
-    if code.size > BRUTE_GUARD:
+    if code.size > rankgeom.BRUTE_GUARD:
         raise ValueError(f"codebook size {code.size} exceeds guard")
     return [F.expand(w, basis=basis) for w in codewords(code)]
 

@@ -84,10 +84,6 @@ def is_irreducible(coeffs, q):
     m = len(coeffs) - 1
     if m < 1 or coeffs[-1] != 1:
         return False
-    if m == 1:
-        return True
-    if coeffs[0] == 0:  # divisible by x
-        return False
     for d in range(1, m // 2 + 1):
         for lower in itertools.product(range(q), repeat=d):
             den = list(lower) + [1]
@@ -158,15 +154,10 @@ class Field:
 
     def _build_tables(self):
         order = self.order
-        if order == 2:
-            self._exp = [1]
-            self._log = [-1, 0]
-            self.generator = 1
-            return
         # g is primitive iff g^((order-1)/p) != 1 for every prime p | order-1;
         # the first such g is the generator, then one walk fills the tables
         cofactors = [(order - 1) // p for p in _prime_factors(order - 1)]
-        g = next(g for g in range(2, order)
+        g = next(g for g in range(1, order)
                  if all(self.pow(g, e) != 1 for e in cofactors))
         exp = [1]
         for _ in range(order - 2):
@@ -278,15 +269,8 @@ class Field:
         return r
 
     def frobenius(self, x, a=1):
-        """x^(q^a); a may be any integer (reduced mod m, since x^(q^m) = x)."""
-        a %= self.m
-        if x == 0 or a == 0:
-            return x
-        if self._log is not None:
-            return self._exp[self._log[x] * pow(self.q, a, self.order - 1) % (self.order - 1)]
-        for _ in range(a):
-            x = self.pow(x, self.q)
-        return x
+        """x^(q^a) = pow(x, q^(a mod m)) for any integer a, as x^(q^m) = x."""
+        return self.pow(x, self.q ** (a % self.m))
 
     def trace(self, x):
         """Trace into GF(q): sum of x^(q^i) for i < m.  Returns an int < q."""

@@ -53,13 +53,16 @@ class _Budget:
     def visit(self, depth, score):
         """Count one node; raise InconclusiveSearch once the budget is spent."""
         if self.nodes == self.max_nodes:
-            raise InconclusiveSearch(
-                f"node budget {self.max_nodes} hit for {self.goal}: "
-                f"{self.nodes} nodes expanded, deepest depth {self.depth}, "
-                + self.best_text.format(self.best))
+            raise self.inconclusive(f"node budget {self.max_nodes}")
         self.nodes += 1
         self.depth = max(self.depth, depth)
         self.best = max(self.best, score)
+
+    def inconclusive(self, limit):
+        """InconclusiveSearch for a search stopped by limit, with its progress."""
+        return InconclusiveSearch(
+            f"{limit} hit for {self.goal}: {self.nodes} nodes expanded, "
+            f"deepest depth {self.depth}, " + self.best_text.format(self.best))
 
 
 # Caps that keep searches sound rather than wrong: the ambient size q^{mn}
@@ -103,7 +106,7 @@ def _retally(field, offsets, gains, vectors, step):
 def _cover(field, offsets, unc, gains, c):
     """Mark the ball around c covered and lower the gains to match; returns
     the vectors it newly covered."""
-    new = next(_batch.balls(field, offsets, [c]))[0]
+    new = _batch.add(field, offsets, c)
     new = new[unc[new]]
     unc[new] = False
     _retally(field, offsets, gains, new, -1)
@@ -168,7 +171,7 @@ def exhaustive_min_covering(q, m, n, rho, K, *, max_nodes=MAX_NODES):
 
     Monotone in K; the minimum covering size is settled by scanning K
     upward from a lower bound.  Raises InconclusiveSearch, saying how far
-    the search got, when the node budget runs out.
+    the search got, when the node budget or the recursion limit runs out.
     """
     F, Q, offsets, unc, gains = _covering_state(q, m, n, rho)
     if K < 1:
@@ -192,7 +195,7 @@ def exhaustive_min_covering(q, m, n, rho, K, *, max_nodes=MAX_NODES):
             # the centers covering u are the members of the ball around u;
             # try the largest gain first, ties to the smallest encoding c,
             # by sorting the keys c - Q * gain, from which k % Q gives c
-            ball = next(_batch.balls(F, offsets, [int(unc.argmax())]))[0]
+            ball = _batch.add(F, offsets, int(unc.argmax()))
             cands = [k % Q for k in sorted((ball - Q * gains[ball]).tolist())]
         for c in cands:
             new = _cover(F, offsets, unc, gains, c)
@@ -204,7 +207,11 @@ def exhaustive_min_covering(q, m, n, rho, K, *, max_nodes=MAX_NODES):
             unc[new] = True
         return False
 
-    if extend(Q - len(_cover(F, offsets, unc, gains, 0))):
+    try:
+        found = extend(Q - len(_cover(F, offsets, unc, gains, 0)))
+    except RecursionError:  # one frame per placed center
+        raise budget.inconclusive("recursion limit") from None
+    if found:
         return CoveringDecision(
             True, tuple(_verified(F, n, chosen, rho, "exhaustive search")))
     return CoveringDecision(False)

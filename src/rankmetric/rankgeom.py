@@ -243,8 +243,6 @@ def complements(els_a, els_v):
     if not els_v.contains_els(els_a):
         raise ValueError("A is not contained in V")
     a, v, n, q = els_a.dim, els_v.dim, els_v.n, els_v.q
-    if a == 0:
-        return [els_v]
     F1 = make_field(q, 1)
     out = []
     for sub in _subspaces(q, v, v - a):

@@ -442,6 +442,29 @@ def test_els_list_guard_exits_1(run, monkeypatch, argv):
     assert run(*argv[:5])[0] == 0  # the counts alone are fine
 
 
+@pytest.mark.parametrize("argv,error", [
+    ("rank --q 2 --m 2 --vec 1,2 --vec2 1,2,3",
+     "vectors of different lengths"),
+    ("gabidulin --q 2 --m 3 --n 2 --k 1 --g 3,9",
+     "encoding 9 outside GF(2^3)"),
+    ("gabidulin --q 2 --m 3 --n 2 --k 1 --g 3,3",
+     "generator vector must have full rank n"),
+    ("macwilliams --dist 1,0,3", "--dist needs explicit --q and --m"),
+], ids=["rank-vec2-length", "gabidulin-g-range", "gabidulin-g-dependent",
+        "macwilliams-dist-field"])
+def test_bad_vector_options_exit_1(run, argv, error):
+    assert run(*argv.split()) == (1, "", f"error: {error}\n")
+
+
+def test_search_deeper_than_recursion_limit_exit_3(run):
+    # rho = 0 needs all 1024 vectors as centers, one stack frame each
+    rc, out, err = run("search", "--what", "covering", "--q", "2", "--m", "1",
+                       "--n", "10", "--rho", "0", "--K", "1024")
+    assert (rc, out) == (3, "")
+    assert err.startswith("inconclusive: recursion limit hit for K=1024: ")
+    assert "nodes expanded, deepest depth" in err
+
+
 def test_failing_command_prints_nothing(run):
     rc, out, err = run("els", "--q", "2", "--n", "3", "--v", "5", "--list")
     assert (rc, out) == (1, "")
@@ -502,6 +525,7 @@ EXACT_OUTPUT = [
      "exists: true\n"
      "# codebook q=2 m=2 n=2 size=3 modulus=1 1 1\n0 0\n1 0\n2 0\n"),
     ("search --what maxcode --q 2 --m 2 --n 2 --d 2", "4\n"),
+    ("gabidulin --q 2 --m 3 --n 2 --k 1 --g 3,5", "2 3 2 1 1 1 0 1\n3 5\n"),
 ]
 
 

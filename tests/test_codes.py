@@ -49,10 +49,26 @@ def test_make_code_validation():
         cd.make_code(F, [(1, 2), (2, 3)])  # (2,3) = alpha*(1,2): dependent
     with pytest.raises(ValueError):
         cd.make_code(F, [(1, 2), (1,)])
-    with pytest.raises(ValueError):
-        cd.make_code(F, [(1, 4)])  # encoding out of range
+    with pytest.raises(ValueError, match="^encoding 4 outside field$"):
+        cd.make_code(F, [(1, 4)])
     with pytest.raises(ValueError):
         cd.make_code(F, [])
+
+
+def test_make_codebook_validation():
+    F = make_field(2, 2)
+    # encodings outside GF(4) are refused as make_code refuses them, not
+    # ranked as if their high bits were digits
+    with pytest.raises(ValueError, match="^encoding 5 outside field$"):
+        cd.make_codebook(F, [(0, 0), (5, 6)])
+    with pytest.raises(ValueError, match="^encoding -1 outside field$"):
+        cd.make_codebook(make_field(3, 1), [(0, 2), (-1, 0)])
+    with pytest.raises(ValueError, match="^ragged codewords$"):
+        cd.make_codebook(F, [(0, 0), (1,)])
+    with pytest.raises(ValueError, match="^empty codebook$"):
+        cd.make_codebook(F, [])
+    assert cd.make_codebook(F, [(3, 0), (0, 3), (3, 0)]).words == \
+        ((0, 3), (3, 0))
 
 
 def test_codeword_stream():
@@ -198,6 +214,22 @@ def test_rank_distribution_ranks_one_word_per_class(monkeypatch, as_book):
         assert sum(ranked) == C.size == 81
     else:
         assert sum(ranked) == (F.order ** 2 - 1) // (F.order - 1) == 10
+
+
+def test_code_scans_read_the_rankgeom_guard(monkeypatch):
+    # rankgeom.BRUTE_GUARD, read when a scan starts, bounds all five scans
+    F = make_field(2, 3)
+    C = cd.gabidulin(F, F.polynomial_basis(), 2)  # 64 words in 9 classes
+    monkeypatch.setattr(rg, "BRUTE_GUARD", 9)
+    assert cd.rank_distribution(C) == (1, 0, 49, 14)
+    monkeypatch.setattr(rg, "BRUTE_GUARD", 8)
+    with pytest.raises(ValueError,
+                       match="^scalar class count 9 exceeds guard$"):
+        cd.rank_distribution(C)
+    for scan in (cd.codewords, cd.covering_radius, cd.transpose_code,
+                 cd.array_view):
+        with pytest.raises(ValueError, match="exceeds guard$"):
+            list(scan(C))
 
 
 def test_min_distance_nonlinear_pairs():

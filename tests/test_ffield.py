@@ -1,4 +1,5 @@
 """Tests for GF(q^m) arithmetic, bases, traces, and expansions."""
+import functools
 import itertools
 
 import pytest
@@ -72,7 +73,7 @@ def test_default_modulus_is_smallest_irreducible():
 
 
 def test_irreducibility_check_against_oracle():
-    for q, m in [(2, 4), (3, 2), (3, 3)]:
+    for q, m in [(2, 1), (3, 1), (5, 1), (2, 4), (3, 2), (3, 3)]:
         for v in range(q**m):
             coeffs = []
             t = v
@@ -147,11 +148,16 @@ def test_gf9_properties(a, b, c):
     assert F.sub(F.add(a, b), b) == a
 
 
+@pytest.fixture(scope="module")
+def gf2_16():
+    # built once, outside the timed examples of the property test below
+    return make_field(2, 16)
+
+
 @settings(max_examples=30)
 @given(a=st.integers(0, 2**16 - 1), b=st.integers(0, 2**16 - 1))
-def test_gf2_16_table_vs_schoolbook(a, b):
-    F = make_field(2, 16)
-    assert F.mul(a, b) == F._mul_raw(a, b)
+def test_gf2_16_table_vs_schoolbook(gf2_16, a, b):
+    assert gf2_16.mul(a, b) == gf2_16._mul_raw(a, b)
 
 
 @pytest.mark.parametrize("q,m,generator", [(2, 16, 3), (3, 8, 38), (3, 10, 34)])
@@ -164,14 +170,30 @@ def test_generator_is_smallest_primitive(q, m, generator):
 
 
 def test_large_field_no_tables():
-    F = make_field(2, 20)
-    assert F._log is None
-    x = 0b1011011101111011
-    assert F.mul(x, F.inv(x)) == 1
-    assert F.pow(x, F.order - 1) == 1
-    assert F.frobenius(x, F.m) == x
-    # Frobenius is the q-power map
-    assert F.frobenius(x, 3) == F.pow(x, 2**3)
+    x, y = 0b1011011101111011, 12345
+    for q, m in [(2, 20), (3, 11), (5, 7)]:
+        F = make_field(q, m)
+        assert F._log is None
+        assert F.mul(x, F.inv(x)) == 1
+        assert F.pow(x, F.order - 1) == 1
+        assert F.frobenius(x, F.m) == x
+        assert F.frobenius(x, -1) == F.frobenius(x, F.m - 1)
+        # Frobenius is the q-power map, additive and multiplicative
+        assert F.frobenius(x) == functools.reduce(F.mul, [x] * q)
+        assert F.frobenius(F.frobenius(F.frobenius(x))) == F.frobenius(x, 3)
+        assert F.frobenius(F.add(x, y), 2) == \
+            F.add(F.frobenius(x, 2), F.frobenius(y, 2))
+        assert F.frobenius(F.mul(x, y), 2) == \
+            F.mul(F.frobenius(x, 2), F.frobenius(y, 2))
+        assert F.frobenius(0, 5) == 0 and F.frobenius(q - 1, 5) == q - 1
+
+
+def test_gf2_tables():
+    # GF(2) = {0, 1}: the generator search starts at 1, the only choice
+    F = make_field(2, 1)
+    assert (F.generator, F._exp, F._log) == (1, [1], [-1, 0])
+    assert F.inv(1) == 1 and F.mul(1, 1) == 1
+    assert F.frobenius(1, 3) == 1 and F.frobenius(0, 3) == 0
 
 
 @pytest.mark.parametrize("q,m", [(2, 3), (2, 4), (3, 2), (3, 3)])

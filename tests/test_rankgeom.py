@@ -245,6 +245,9 @@ def test_complements_counts():
     v2 = rg.make_els(2, 2, [(1, 0), (0, 1)])
     a0 = rg.make_els(2, 2, [])
     assert rg.complements(a0, v2) == [v2]
+    for rows in ([], [(1, 1, 0)], [(1, 0, 1), (0, 1, 1)]):  # A = 0 inside V
+        v = rg.make_els(2, 3, rows)
+        assert rg.complements(rg.make_els(2, 3, []), v) == [v]
     total_pairs = 0
     for a in rg.enumerate_els(2, 2, 1):
         cs = rg.complements(a, v2)
