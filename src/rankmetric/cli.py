@@ -213,6 +213,8 @@ def cmd_gabidulin(args):
     F = make_field(args.q, args.m)
     if args.g:
         g = parse_vector(F, args.g)
+        if len(g) != args.n:
+            raise ValueError(f"--g has {len(g)} points, but --n is {args.n}")
     else:
         g = tuple(F.q ** i for i in range(args.n))  # polynomial basis slice
     code = cd.gabidulin(F, g, args.k, args.a)

@@ -21,10 +21,14 @@ The exact covering search prunes by two rules that lose no covering:
 Vectors in GF(q^m)^n are packed into integers by _batch.pack, the odometer
 convention the code enumerators use; rank weights and balls come from
 _batch.rank_table and _batch.balls, shared with the covering radius.  Every
-witness is re-checked by is_covering, a scalar scan independent of _batch.
+witness is re-checked by is_covering, which stays independent of _batch and
+numpy: it ranks one vector per class {a*v : a in GF(q^m)*} with scalar
+rankgeom.rank, since rank(a*v) = rank(v), and marks the balls around the
+centers in a byte map.
 """
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -32,9 +36,9 @@ from typing import Optional
 import numpy as np
 
 from . import _batch
-from .codes import make_code, make_codebook, make_zero_code
+from .codes import _check_encodings, make_code, make_codebook, make_zero_code
 from .ffield import make_field
-from .rankgeom import canonical_rank_vector, enumerate_vectors, rank_distance
+from .rankgeom import canonical_rank_vector, enumerate_vectors, rank
 
 
 class InconclusiveSearch(RuntimeError):
@@ -134,13 +138,50 @@ def _check_params(q, m, n, rho):
 
 def is_covering(q, m, n, centers, rho):
     """Independent verification scan: every vector of GF(q^m)^n lies within
-    rank distance rho of some center.  Deliberately avoids the array
-    machinery the searches use; guarded by the ambient size q^{mn}."""
+    rank distance rho of some center.
+
+    Deliberately avoids the array machinery the searches use: it needs only
+    scalar rankgeom.rank and Field arithmetic.  It rests on one fact,
+    rank(a*v) = rank(v) for every a != 0 in GF(q^m): multiplying by a is a
+    GF(q)-linear bijection of GF(q^m), so it multiplies the m x n expansion
+    of v on the left by an invertible matrix.  The scan therefore ranks one
+    representative per class {a*v : a != 0}, the vector whose first nonzero
+    coordinate is 1, and where that rank is at most rho marks c + a*v for
+    every a != 0 and every center c, after marking each c itself.  That is
+    (q^{mn} - 1)/(q^m - 1) ranks and K * V_rho marks in a map of q^{mn}
+    bytes, indexed by the base-q^m digits of a vector.
+
+    Guarded by the ambient size q^{mn}.  Raises ValueError for a center
+    whose length is not n or with an entry outside [0, q^m).
+    """
     _check_params(q, m, n, rho)
     F = make_field(q, m)
+    enumerate_vectors(F, n)  # refuses an ambient size over the guard
     centers = [tuple(int(x) for x in c) for c in centers]
-    return all(any(rank_distance(F, v, c) <= rho for c in centers)
-               for v in enumerate_vectors(F, n))
+    bad = next((c for c in centers if len(c) != n), None)
+    if bad is not None:
+        raise ValueError(f"center {bad} has length {len(bad)}, not n = {n}")
+    _check_encodings(F, centers)
+    Q = F.order
+
+    def index(v):
+        i = 0
+        for x in v:
+            i = i * Q + x
+        return i
+
+    covered = bytearray(Q ** n)
+    for c in centers:
+        covered[index(c)] = 1
+    for lead in range(n):
+        for tail in itertools.product(F.elements(), repeat=n - lead - 1):
+            rep = (0,) * lead + (1,) + tail
+            if rank(F, rep) <= rho:
+                for a in range(1, Q):
+                    v = [F.mul(a, x) for x in rep]
+                    for c in centers:
+                        covered[index(map(F.add, c, v))] = 1
+    return all(covered)
 
 
 def _verified(F, n, centers, rho, search):
@@ -171,7 +212,7 @@ def exhaustive_min_covering(q, m, n, rho, K, *, max_nodes=MAX_NODES):
 
     Monotone in K; the minimum covering size is settled by scanning K
     upward from a lower bound.  Raises InconclusiveSearch, saying how far
-    the search got, when the node budget or the recursion limit runs out.
+    the search got, when the node budget runs out.
     """
     F, Q, offsets, unc, gains = _covering_state(q, m, n, rho)
     if K < 1:
@@ -181,37 +222,44 @@ def exhaustive_min_covering(q, m, n, rho, K, *, max_nodes=MAX_NODES):
     budget = _Budget(max_nodes, f"K={K}", f"best coverage {{}} of {Q} vectors")
     chosen = [0]
 
-    def extend(remaining):
+    def visit(remaining):
+        """Count the node at len(chosen) centers with remaining vectors
+        uncovered; an iterator over the centers to try next, empty where
+        nothing is left uncovered or the node is pruned."""
         depth = len(chosen)
         budget.visit(depth, Q - remaining)
-        if remaining == 0:
-            return True
         left = K - depth
-        if left == 0 or _top_sum(gains, left) < remaining:
-            return False
+        if remaining == 0 or left == 0 or _top_sum(gains, left) < remaining:
+            return iter(())
         if depth == 1:
-            cands = second
-        else:
-            # the centers covering u are the members of the ball around u;
-            # try the largest gain first, ties to the smallest encoding c,
-            # by sorting the keys c - Q * gain, from which k % Q gives c
-            ball = _batch.add(F, offsets, int(unc.argmax()))
-            cands = [k % Q for k in sorted((ball - Q * gains[ball]).tolist())]
-        for c in cands:
-            new = _cover(F, offsets, unc, gains, c)
-            chosen.append(c)
-            if extend(remaining - len(new)):
-                return True
-            chosen.pop()  # take c back
-            _retally(F, offsets, gains, new, 1)
-            unc[new] = True
-        return False
+            return iter(second)
+        # the centers covering u are the members of the ball around u;
+        # try the largest gain first, ties to the smallest encoding c,
+        # by sorting the keys c - Q * gain, from which k % Q gives c
+        ball = _batch.add(F, offsets, int(unc.argmax()))
+        return iter([k % Q for k in sorted((ball - Q * gains[ball]).tolist())])
 
-    try:
-        found = extend(Q - len(_cover(F, offsets, unc, gains, 0)))
-    except RecursionError:  # one frame per placed center
-        raise budget.inconclusive("recursion limit") from None
-    if found:
+    # depth-first over an explicit stack: one candidate iterator per open
+    # node, and the vectors newly covered by each center placed after 0
+    remaining = Q - len(_cover(F, offsets, unc, gains, 0))
+    stack, placed = [visit(remaining)], []
+    while remaining and stack:
+        c = next(stack[-1], None)
+        if c is None:  # every candidate tried: close the node
+            stack.pop()
+            if placed:  # take back the center that opened it
+                chosen.pop()
+                new = placed.pop()
+                remaining += len(new)
+                _retally(F, offsets, gains, new, 1)
+                unc[new] = True
+            continue
+        new = _cover(F, offsets, unc, gains, c)
+        chosen.append(c)
+        placed.append(new)
+        remaining -= len(new)
+        stack.append(visit(remaining))
+    if remaining == 0:
         return CoveringDecision(
             True, tuple(_verified(F, n, chosen, rho, "exhaustive search")))
     return CoveringDecision(False)

@@ -1,4 +1,5 @@
 """CLI tests: exit codes, formats, config echo, determinism."""
+import itertools
 import json
 import os
 import subprocess
@@ -449,20 +450,30 @@ def test_els_list_guard_exits_1(run, monkeypatch, argv):
      "encoding 9 outside GF(2^3)"),
     ("gabidulin --q 2 --m 3 --n 2 --k 1 --g 3,3",
      "generator vector must have full rank n"),
+    ("gabidulin --q 2 --m 3 --n 3 --k 1 --g 3,5",
+     "--g has 2 points, but --n is 3"),
+    ("gabidulin --q 2 --m 3 --n 2 --k 1 --g 1,2,4 --check",
+     "--g has 3 points, but --n is 2"),
     ("macwilliams --dist 1,0,3", "--dist needs explicit --q and --m"),
 ], ids=["rank-vec2-length", "gabidulin-g-range", "gabidulin-g-dependent",
+        "gabidulin-g-short", "gabidulin-g-long-check",
         "macwilliams-dist-field"])
 def test_bad_vector_options_exit_1(run, argv, error):
     assert run(*argv.split()) == (1, "", f"error: {error}\n")
 
 
-def test_search_deeper_than_recursion_limit_exit_3(run):
-    # rho = 0 needs all 1024 vectors as centers, one stack frame each
+def test_search_deeper_than_recursion_limit_exits_0(run):
+    # rho = 0 needs all 1024 vectors as centers, a search deeper than
+    # Python's recursion limit; the search keeps its own stack
     rc, out, err = run("search", "--what", "covering", "--q", "2", "--m", "1",
                        "--n", "10", "--rho", "0", "--K", "1024")
-    assert (rc, out) == (3, "")
-    assert err.startswith("inconclusive: recursion limit hit for K=1024: ")
-    assert "nodes expanded, deepest depth" in err
+    assert (rc, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[:2] == ["exists: true",
+                         "# codebook q=2 m=1 n=10 size=1024 modulus=0 1"]
+    words = {tuple(map(int, line.split())) for line in lines[2:]}
+    assert len(lines) == 1026
+    assert words == set(itertools.product((0, 1), repeat=10))
 
 
 def test_failing_command_prints_nothing(run):

@@ -2,6 +2,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from rankmetric import _linalg
@@ -258,10 +259,13 @@ def _covers_pairwise(q, m, n, centers, rho):
 
 
 @pytest.mark.parametrize("q,m,n,rho,trials", [
-    (2, 2, 2, 1, 24), (2, 3, 2, 1, 12), (3, 2, 2, 1, 12), (5, 2, 2, 1, 6)])
+    (2, 2, 2, 1, 24), (2, 3, 2, 1, 12), (3, 2, 2, 1, 12), (5, 2, 2, 1, 6),
+    (2, 1, 3, 0, 6), (2, 2, 3, 1, 9), (3, 2, 3, 1, 3), (2, 3, 3, 2, 6),
+    (2, 2, 2, 2, 3)])
 def test_is_covering_matches_pairwise_scan(q, m, n, rho, trials):
     # random sets around the greedy size: plain samples, the greedy covering
-    # with one center swapped for a random vector, and with one added
+    # with one center swapped for a random vector, and with one added; then
+    # no centers, a repeated center and numpy-integer centers
     rng = random.Random(1000 * q + 10 * m + n)
     order = q ** m
     greedy = list(oc.greedy_covering(q, m, n, rho).words)
@@ -280,5 +284,67 @@ def test_is_covering_matches_pairwise_scan(q, m, n, rho, trials):
             centers = greedy + [vector()]
         want = _covers_pairwise(q, m, n, centers, rho)
         assert oc.is_covering(q, m, n, centers, rho) == want
+        assert oc.is_covering(q, m, n, np.array(centers), rho) == want
         seen.add(want)
-    assert seen == {True, False}
+    short = greedy[:-1] + greedy[:1]  # one center dropped, one repeated
+    want = _covers_pairwise(q, m, n, short, rho)
+    assert oc.is_covering(q, m, n, short, rho) == want
+    seen.add(want)
+    # at rho = min(m, n) one ball is everything, so only no centers fails
+    assert seen == ({True} if rho == min(m, n) else {True, False})
+    assert not oc.is_covering(q, m, n, [], rho)
+
+
+def test_is_covering_rejects_malformed_centers():
+    # zip once cut the short center (0,) to nothing, so it passed as a
+    # covering of GF(4)^2, which no single ball of radius 1 is
+    assert not oc.is_covering(2, 2, 2, [(0, 0)], 1)
+    with pytest.raises(ValueError, match=r"^center \(0,\) has length 1, "
+                                         r"not n = 2$"):
+        oc.is_covering(2, 2, 2, [(0,)], 1)
+    with pytest.raises(ValueError, match="has length 3, not n = 2"):
+        oc.is_covering(2, 2, 2, [(0, 0), (1, 2, 3)], 2)
+    # encodings outside GF(4) once aliased: 4 read as 0, -1 as 3
+    for bad in (4, -1, 7):
+        with pytest.raises(ValueError,
+                           match=f"^encoding {bad} outside field$"):
+            oc.is_covering(2, 2, 2, [(0, 0), (bad, 1)], 2)
+
+
+class _Unusable:
+    """Stands in for a module; every attribute lookup fails."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def __getattr__(self, attr):
+        raise AssertionError(f"is_covering used {self.name}.{attr}")
+
+
+@pytest.mark.parametrize("q,m,n,rho", [(2, 3, 2, 1), (3, 2, 2, 1)])
+def test_is_covering_independent_of_array_kernels(monkeypatch, q, m, n, rho):
+    greedy = list(oc.greedy_covering(q, m, n, rho).words)
+    monkeypatch.setattr(oc, "_batch", _Unusable("_batch"))
+    monkeypatch.setattr(oc, "np", _Unusable("np"))
+    assert oc.is_covering(q, m, n, greedy, rho)
+    for centers in (greedy[1:], greedy[:-1], greedy[::2]):
+        assert oc.is_covering(q, m, n, centers, rho) == _covers_pairwise(
+            q, m, n, centers, rho)
+
+
+@pytest.mark.parametrize("q,m,n,rho,K,exists,nodes", [
+    (2, 4, 2, 1, 7, False, 95), (2, 4, 2, 1, 8, True, 43944),
+    (3, 2, 2, 1, 4, False, 36), (2, 3, 3, 2, 3, False, 4)])
+def test_exhaustive_covering_node_counts(monkeypatch, q, m, n, rho, K,
+                                         exists, nodes):
+    # the candidate order, the two pruning rules and the undo fix the
+    # number of nodes a decision expands
+    budgets = []
+
+    class Recorded(oc._Budget):
+        def __init__(self, *args):
+            super().__init__(*args)
+            budgets.append(self)
+    monkeypatch.setattr(oc, "_Budget", Recorded)
+    assert oc.exhaustive_min_covering(q, m, n, rho, K).exists == exists
+    assert [b.nodes for b in budgets] == [nodes]
