@@ -5,12 +5,13 @@ Subcommands::
     field rank ball els code gabidulin bounds
     table1 table2 macwilliams moments search verify
 
-Ranges are written "2..7" (inclusive).  A reporting command computes its
-whole answer first and prints it through one emitter, ``emit``, so a
-command that fails leaves stdout empty.  Machine formats (csv, json) echo
-the fully resolved run configuration: CSV output starts with a versioned
-comment line ``# rankmetric-table v1 config: ...`` and JSON output carries
-a ``config`` object.  Plain text output stays minimal for human use.
+Ranges are written "2..7" (inclusive).  Every command returns an
+``Answer`` and prints nothing; only ``main`` prints it, through ``emit``,
+once the command has returned, so a command that fails leaves stdout
+empty.  Machine formats (csv, json) echo the fully resolved run
+configuration: CSV output starts with a versioned comment line
+``# rankmetric-table v1 config: ...`` and JSON output carries a ``config``
+object.  Plain text output stays minimal for human use.
 
 Exit codes: 0 success, 1 usage or input error, 2 verification failure,
 3 inconclusive (a search or scan gave up at its budget).
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import NamedTuple
 
 from . import bounds as bd
 from . import codes as cd
@@ -44,12 +46,23 @@ def make_config(command, **options):
     return {"command": command, **dict(sorted(options.items()))}
 
 
-def emit(args, cfg, payload, lines):
-    """Print the answer: payload as JSON under --format json, else lines."""
-    if args.format == "json":
-        print(json.dumps({"config": cfg, **payload}, sort_keys=True))
+class Answer(NamedTuple):
+    """A command's whole result: its text lines, the config and payload
+    that --format json prints instead, and its exit status."""
+    lines: list
+    config: dict = None
+    payload: dict = None
+    status: int = 0
+
+
+def emit(args, answer):
+    """Print the answer: config and payload as JSON under --format json,
+    else its lines (rank, gabidulin and verify have no --format)."""
+    if getattr(args, "format", "text") == "json":
+        print(json.dumps({"config": answer.config, **answer.payload},
+                         sort_keys=True))
     else:
-        for line in lines:
+        for line in answer.lines:
             print(line)
 
 
@@ -119,38 +132,31 @@ def _field_from_args(args):
 def cmd_field(args):
     F = _field_from_args(args)
     modulus = " ".join(map(str, F.modulus))
-    emit(args, make_config("field", q=F.q, m=F.m, modulus=modulus),
-         {"order": F.order, "descriptor": F.descriptor(),
-          "polynomial_basis": list(F.polynomial_basis())},
-         [f"GF({F.q}^{F.m}), order {F.order}",
-          f"modulus: {modulus} (low to high)",
-          f"descriptor: {F.descriptor()}"])
-    return 0
+    return Answer([f"GF({F.q}^{F.m}), order {F.order}",
+                   f"modulus: {modulus} (low to high)",
+                   f"descriptor: {F.descriptor()}"],
+                  make_config("field", q=F.q, m=F.m, modulus=modulus),
+                  {"order": F.order, "descriptor": F.descriptor(),
+                   "polynomial_basis": list(F.polynomial_basis())})
 
 
 def cmd_rank(args):
     F = _field_from_args(args)
     vec = parse_vector(F, args.vec)
-    if args.vec2 is not None:
-        vec2 = parse_vector(F, args.vec2)
-        if len(vec2) != len(vec):
-            raise ValueError("vectors of different lengths")
-        print(rg.rank_distance(F, vec, vec2))
-    else:
-        print(rg.rank(F, vec))
-    return 0
+    if args.vec2 is None:
+        return Answer([rg.rank(F, vec)])
+    return Answer([rg.rank_distance(F, vec, parse_vector(F, args.vec2))])
 
 
 def cmd_ball(args):
     q, m, n, r = args.q, args.m, args.n, args.r
     sphere, ball = rg.ball_counts(q, m, n, r)
     lo, hi = rg.ball_volume_bounds(q, m, n, r)
-    emit(args, make_config("ball", q=q, m=m, n=n, r=r),
-         {"sphere": sphere, "ball": ball, "lower": int(lo),
-          "upper": float(hi)},
-         [f"sphere N_{r} = {sphere}", f"ball   V_{r} = {ball}",
-          f"bounds {lo} <= V <= {hi}"])
-    return 0
+    return Answer([f"sphere N_{r} = {sphere}", f"ball   V_{r} = {ball}",
+                   f"bounds {lo} <= V <= {hi}"],
+                  make_config("ball", q=q, m=m, n=n, r=r),
+                  {"sphere": sphere, "ball": ball, "lower": int(lo),
+                   "upper": float(hi)})
 
 
 def cmd_els(args):
@@ -163,19 +169,18 @@ def cmd_els(args):
     if args.list:
         for v in dims:  # refuse before listing anything
             rg.check_els_count(args.q, args.n, v)
-        bases = {v: [e.basis for e in rg.enumerate_els(args.q, args.n, v)]
+        bases = {v: [[list(r) for r in e.basis]
+                     for e in rg.enumerate_els(args.q, args.n, v)]
                  for v in dims}
-        payload["bases"] = {str(v): [[list(r) for r in b] for b in bs]
-                            for v, bs in bases.items()}
+        payload["bases"] = {str(v): bs for v, bs in bases.items()}
     lines = []
     for v in dims:
         lines.append(f"dim {v}: {counts[v]} subspaces")
         lines += ["  [" + "; ".join(" ".join(map(str, r)) for r in b) + "]"
                   for b in bases.get(v, ())]
-    emit(args, make_config("els", q=args.q, n=args.n,
-                           v="all" if args.v is None else args.v),
-         payload, lines)
-    return 0
+    return Answer(lines, make_config("els", q=args.q, n=args.n,
+                                     v="all" if args.v is None else args.v),
+                  payload)
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +191,7 @@ def cmd_code(args):
     code = cd.read_code(args.file)
     F = code.field
     if args.dual:
-        sys.stdout.write(cd.format_code(cd.dual(code)))
-        return 0
+        return Answer(cd.format_code(cd.dual(code)).splitlines())
     dist = cd.rank_distribution(code)
     d = next((r for r in range(1, code.n + 1) if dist[r]), None)
     payload = {"n": code.n, "k": code.k, "size": code.size,
@@ -204,9 +208,8 @@ def cmd_code(args):
             payload["covering_radius"] = None
             payload["covering_radius_skipped"] = str(exc)
             lines.append(f"covering radius: skipped ({exc})")
-    emit(args, make_config("code", file=args.file, q=F.q, m=F.m,
-                           n=code.n, k=code.k), payload, lines)
-    return 0
+    return Answer(lines, make_config("code", file=args.file, q=F.q, m=F.m,
+                                     n=code.n, k=code.k), payload)
 
 
 def cmd_gabidulin(args):
@@ -218,15 +221,15 @@ def cmd_gabidulin(args):
     else:
         g = tuple(F.q ** i for i in range(args.n))  # polynomial basis slice
     code = cd.gabidulin(F, g, args.k, args.a)
-    ok = True
+    lines, ok = [], True
     if args.check:
-        d = cd.min_rank_distance(code)
+        d, bound = cd.min_rank_distance(code), code.n - code.k + 1
         mrd = cd.mrd_els_check(code)
-        print(f"# min_rank_distance: {d} (Singleton: {code.n - code.k + 1})")
-        print(f"# mrd_els_check: {mrd}")
-        ok = d == code.n - code.k + 1 and mrd
-    sys.stdout.write(cd.format_code(code))
-    return 0 if ok else 2
+        lines = [f"# min_rank_distance: {d} (Singleton: {bound})",
+                 f"# mrd_els_check: {mrd}"]
+        ok = d == bound and mrd
+    return Answer(lines + cd.format_code(code).splitlines(),
+                  status=0 if ok else 2)
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +249,9 @@ def cmd_bounds(args):
                   for side, vals in (("lower", rep.lower),
                                      ("upper", rep.upper))]
     lines.append(f"linear dimension k: {dims[0]}..{dims[1]}")
-    emit(args, make_config("bounds", q=q, m=m, n=n, rho=rho),
-         {**_report_fields(rep), "summary": summary,
-          "k_lower": dims[0], "k_upper": dims[1]}, lines)
-    return 0
+    return Answer(lines, make_config("bounds", q=q, m=m, n=n, rho=rho),
+                  {**_report_fields(rep), "summary": summary,
+                   "k_lower": dims[0], "k_upper": dims[1]})
 
 
 def _report_fields(rep):
@@ -291,8 +293,7 @@ def cmd_table1(args):
             + [rep.upper.get(t) for t in bd.UPPER_TAGS]
             + [rep.best_lower, rep.best_lower_tag,
                rep.best_upper, rep.best_upper_tag] for rep in reps]
-    emit(args, cfg, {"cells": cells}, _csv(cfg, CSV_COLUMNS_1, rows))
-    return 0
+    return Answer(_csv(cfg, CSV_COLUMNS_1, rows), cfg, {"cells": cells})
 
 
 def cmd_table2(args):
@@ -300,8 +301,7 @@ def cmd_table2(args):
     table = bd.dimension_table(args.q, *ranges)
     rows = [key + table[key] for key in sorted(table)]
     cells = [dict(zip(CSV_COLUMNS_2, row)) for row in rows]
-    emit(args, cfg, {"cells": cells}, _csv(cfg, CSV_COLUMNS_2, rows))
-    return 0
+    return Answer(_csv(cfg, CSV_COLUMNS_2, rows), cfg, {"cells": cells})
 
 
 # ---------------------------------------------------------------------------
@@ -339,13 +339,12 @@ def cmd_macwilliams(args):
     # the text form prints A and B only, so it checks no moments
     checks, ok = _moment_checks(A, B, k) if args.format == "json" \
         else ([], True)
-    emit(args, make_config("macwilliams", q=A.q, m=A.m, n=A.n, k=k,
-                           method=args.method,
-                           source=args.code or f"dist:{args.dist}"),
-         {"A": list(A.coeffs), "B": list(B.coeffs),
-          "moment_checks": checks, "ok": ok},
-         [f"A = {A.coeffs}", f"B = {B.coeffs}"])
-    return 0 if ok else 2
+    return Answer([f"A = {A.coeffs}", f"B = {B.coeffs}"],
+                  make_config("macwilliams", q=A.q, m=A.m, n=A.n, k=k,
+                              method=args.method,
+                              source=args.code or f"dist:{args.dist}"),
+                  {"A": list(A.coeffs), "B": list(B.coeffs),
+                   "moment_checks": checks, "ok": ok}, 0 if ok else 2)
 
 
 def cmd_moments(args):
@@ -353,14 +352,13 @@ def cmd_moments(args):
     A = we.code_enumerator(code)
     B = we.code_enumerator(cd.dual(code))
     checks, ok = _moment_checks(A, B, code.k)
-    emit(args, make_config("moments", file=args.code, q=A.q, m=A.m, n=A.n,
-                           k=code.k),
-         {"A": list(A.coeffs), "B": list(B.coeffs), "checks": checks,
-          "ok": ok},
-         [f"nu {c['nu']}: packing {' == '.join(c['packing'])}; "
-          f"shell {' == '.join(c['shell'])} [{'ok' if c['ok'] else 'FAIL'}]"
-          for c in checks])
-    return 0 if ok else 2
+    return Answer(
+        [f"nu {c['nu']}: packing {' == '.join(c['packing'])}; "
+         f"shell {' == '.join(c['shell'])} [{'ok' if c['ok'] else 'FAIL'}]"
+         for c in checks],
+        make_config("moments", file=args.code, q=A.q, m=A.m, n=A.n, k=code.k),
+        {"A": list(A.coeffs), "B": list(B.coeffs), "checks": checks,
+         "ok": ok}, 0 if ok else 2)
 
 
 # ---------------------------------------------------------------------------
@@ -399,9 +397,8 @@ def cmd_search(args):
     else:
         val = oc.max_code_search(q, m, n, args.d, max_nodes=args.budget)
         payload, lines = {"value": val}, [val]
-    emit(args, make_config("search", what=what, q=q, m=m, n=n, **needs),
-         payload, lines)
-    return 0
+    return Answer(lines, make_config("search", what=what, q=q, m=m, n=n,
+                                     **needs), payload)
 
 
 # ---------------------------------------------------------------------------
@@ -409,15 +406,13 @@ def cmd_search(args):
 # ---------------------------------------------------------------------------
 
 def _suite_geometry(trials, seed):
-    checks = []
     for q, m, n in ((2, 2, 2), (2, 3, 2), (2, 2, 3), (3, 2, 2)):
         F = make_field(q, m)
         good = all(
             rg.intersection_volume_brute(F, [((0,) * n, r)])
             == rg.ball_counts(q, m, n, r)[1]
             for r in range(min(m, n) + 1))
-        checks.append((f"ball volumes vs enumeration q={q} m={m} n={n}",
-                       good, ""))
+        yield f"ball volumes vs enumeration q={q} m={m} n={n}", good, ""
     bad = []
     for m, n in ((2, 2), (3, 3), (2, 3)):
         F = make_field(2, m)
@@ -433,16 +428,14 @@ def _suite_geometry(trials, seed):
                         F, n, r1, r2, dist)
                     if closed != brute:
                         bad.append((m, n, r1, r2, dist, closed, brute))
-    checks.append(("ball intersections closed vs brute", not bad, str(bad)))
+    yield "ball intersections closed vs brute", not bad, str(bad)
     for n in range(1, 5):
         good = all(len(rg.enumerate_els(2, n, v)) == rg.gaussian(n, v, 2)
                    for v in range(n + 1))
-        checks.append((f"subspace counts n={n}", good, ""))
-    return checks
+        yield f"subspace counts n={n}", good, ""
 
 
 def _suite_macwilliams(trials, seed):
-    checks = []
     shapes = [(2, 2, 3), (2, 3, 3), (2, 3, 4), (3, 2, 3)]
     bad = []
     for i in range(trials):
@@ -461,18 +454,16 @@ def _suite_macwilliams(trials, seed):
             bad.append(("method agreement", q, m, n, k, i))
         bad += [("moments", q, m, n, k, c["nu"], i)
                 for c in _moment_checks(A, B, k)[0] if not c["ok"]]
-    checks.append((f"macwilliams oracle x{trials}", not bad, str(bad[:4])))
-    return checks
+    yield f"macwilliams oracle x{trials}", not bad, str(bad[:4])
 
 
 def _suite_bounds(trials, seed):
-    checks = []
     anchors = {(2, 2, 1): "b 3-4 A", (3, 2, 1): "b 4 B",
                (3, 3, 1): "a 11-32 C", (7, 7, 6): "a 2-16 C",
                (4, 4, 2): "b 10-64 C"}
     bad = [(cell, want, got) for cell, want in anchors.items()
            if (got := bd.format_report(bd.covering_report(2, *cell))) != want]
-    checks.append(("covering bound anchors", not bad, str(bad)))
+    yield "covering bound anchors", not bad, str(bad)
     violations = []
     for m in range(2, 7):
         for n in range(2, m + 1):
@@ -483,16 +474,14 @@ def _suite_bounds(trials, seed):
                 uvals = [v for v in ups.values() if v is not None]
                 if max(lvals) > min(uvals):
                     violations.append((m, n, rho))
-    checks.append(("lower bounds never exceed upper bounds",
-                   not violations, str(violations)))
+    yield ("lower bounds never exceed upper bounds", not violations,
+           str(violations))
     dims_ok = (bd.linear_dim_bounds(2, 6, 6, 2) == (3, 4)
                and bd.linear_dim_bounds(2, 8, 8, 5) == (1, 3))
-    checks.append(("linear dimension anchors", dims_ok, ""))
-    return checks
+    yield "linear dimension anchors", dims_ok, ""
 
 
 def _suite_codes(trials, seed):
-    checks = []
     bad = []
     for m in range(2, 5):
         F = make_field(2, m)
@@ -504,7 +493,7 @@ def _suite_codes(trials, seed):
                     bad.append(("distance", m, n, k))
                 if not cd.mrd_els_check(code):
                     bad.append(("els", m, n, k))
-    checks.append(("gabidulin codes are MRD", not bad, str(bad)))
+    yield "gabidulin codes are MRD", not bad, str(bad)
     bad = []
     for i in range(min(trials, 10)):
         code = oc.random_linear_code(2, 3, 4, 2, seed=seed + i)
@@ -517,12 +506,10 @@ def _suite_codes(trials, seed):
             if any(cd.dot(code.field, u, v) != 0 for v in dual.G):
                 bad.append(("orthogonality", i))
                 break
-    checks.append(("dual codes orthogonal with complementary dimension",
-                   not bad, str(bad)))
+    yield ("dual codes orthogonal with complementary dimension", not bad,
+           str(bad))
     zero = cd.make_zero_code(make_field(2, 2), 2)
-    checks.append(("covering radius of the zero code",
-                   cd.covering_radius(zero) == 2, ""))
-    return checks
+    yield "covering radius of the zero code", cd.covering_radius(zero) == 2, ""
 
 
 SUITES = {"geometry": _suite_geometry, "macwilliams": _suite_macwilliams,
@@ -531,17 +518,16 @@ SUITES = {"geometry": _suite_geometry, "macwilliams": _suite_macwilliams,
 
 def cmd_verify(args):
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    failures = 0
+    lines, failures = [], 0
     for name in names:
         for label, good, detail in SUITES[name](args.trials, args.seed):
             state = "ok" if good else "FAIL"
             suffix = f": {detail}" if detail and not good else ""
-            print(f"{state} [{name}] {label}{suffix}")
+            lines.append(f"{state} [{name}] {label}{suffix}")
             failures += not good
     if failures:
-        print(f"{failures} check(s) failed")
-        return 2
-    return 0
+        lines.append(f"{failures} check(s) failed")
+    return Answer(lines, status=2 if failures else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -667,13 +653,15 @@ def main(argv=None):
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        answer = args.func(args)
+        emit(args, answer)
     except oc.InconclusiveSearch as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 3
     except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return answer.status
 
 
 if __name__ == "__main__":

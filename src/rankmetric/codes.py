@@ -88,19 +88,13 @@ def make_code(field, G):
         n = len(G[0])
         if any(len(row) != n for row in G):
             raise ValueError("ragged generator matrix")
-        _check_encodings(field, G)
+        rankgeom.check_encodings(field, G)
         if _linalg.rank_field(field, [list(r) for r in G]) < len(G):
             raise ValueError("generator rows are dependent")
     else:
         raise ValueError("empty generator needs an explicit length; "
                          "use make_zero_code")
     return LinearCode(field, n, G)
-
-
-def _check_encodings(field, rows):
-    bad = next((x for r in rows for x in r if not 0 <= x < field.order), None)
-    if bad is not None:
-        raise ValueError(f"encoding {bad} outside field")
 
 
 def make_zero_code(field, n):
@@ -115,7 +109,7 @@ def make_codebook(field, words):
     n = len(words[0])
     if any(len(w) != n for w in words):
         raise ValueError("ragged codewords")
-    _check_encodings(field, words)
+    rankgeom.check_encodings(field, words)
     return Codebook(field, tuple(words))
 
 

@@ -36,9 +36,10 @@ from typing import Optional
 import numpy as np
 
 from . import _batch
-from .codes import _check_encodings, make_code, make_codebook, make_zero_code
+from .codes import make_code, make_codebook, make_zero_code
 from .ffield import make_field
-from .rankgeom import canonical_rank_vector, enumerate_vectors, rank
+from .rankgeom import (canonical_rank_vector, check_encodings,
+                       enumerate_vectors, rank)
 
 
 class InconclusiveSearch(RuntimeError):
@@ -161,7 +162,7 @@ def is_covering(q, m, n, centers, rho):
     bad = next((c for c in centers if len(c) != n), None)
     if bad is not None:
         raise ValueError(f"center {bad} has length {len(bad)}, not n = {n}")
-    _check_encodings(F, centers)
+    check_encodings(F, centers)
     Q = F.order
 
     def index(v):

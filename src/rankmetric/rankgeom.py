@@ -133,13 +133,27 @@ def ball_volume_bounds(q, m, n, r):
 # rank weight and distance
 # ---------------------------------------------------------------------------
 
+def check_encodings(field, rows):
+    """Refuse an entry of rows outside [0, q^m), the encodings of field."""
+    bad = next((x for r in rows for x in r if not 0 <= x < field.order), None)
+    if bad is not None:
+        raise ValueError(f"encoding {bad} outside field")
+
+
 def rank(field, vec):
-    """Rank weight: GF(q)-rank of the m x n expansion of vec."""
+    """Rank weight: GF(q)-rank of the m x n expansion of vec.  Raises
+    ValueError for an entry outside [0, q^m)."""
     vec = tuple(int(x) for x in vec)  # tolerate numpy integers
+    check_encodings(field, (vec,))
     return _linalg.rank_field(make_field(field.q, 1), field.expand(vec))
 
 
 def rank_distance(field, u, v):
+    """Rank weight of u - v.  Raises ValueError for vectors of different
+    lengths or an entry outside [0, q^m)."""
+    if len(u) != len(v):
+        raise ValueError("vectors of different lengths")
+    check_encodings(field, (u, v))
     return rank(field, tuple(field.sub(a, b) for a, b in zip(u, v)))
 
 
@@ -192,8 +206,10 @@ class Els:
 
 def make_els(q, n, rows):
     """Canonical ELS spanned by the given integer rows, read mod q
-    (row-reduced, deduped)."""
+    (row-reduced, deduped).  Raises ValueError for a row not of length n."""
     rows = [[int(x) % q for x in row] for row in rows]
+    if any(len(row) != n for row in rows):
+        raise ValueError(f"ELS rows must have length n = {n}")
     rref, _ = _linalg.rref_field(make_field(q, 1), rows)
     return Els(q, n, tuple(tuple(r) for r in rref))
 

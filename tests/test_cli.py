@@ -1,4 +1,5 @@
 """CLI tests: exit codes, formats, config echo, determinism."""
+import inspect
 import itertools
 import json
 import os
@@ -318,6 +319,25 @@ def test_verify_reports_failures_exit_2(run, monkeypatch):
     assert "FAIL [bounds] always wrong: injected" in out
 
 
+def test_verify_suite_that_raises_prints_nothing(run, monkeypatch):
+    def broken(trials, seed):
+        yield "fine so far", True, ""
+        raise ValueError("suite broke")
+    monkeypatch.setitem(cli.SUITES, "codes", broken)
+    rc, out, err = run("verify", "--trials", "1")
+    assert (rc, out, err) == (1, "", "error: suite broke\n")
+
+
+def test_only_main_prints():
+    # commands and suites return their answer; main prints it through emit
+    funcs = [f for name, f in vars(cli).items()
+             if name.startswith(("cmd_", "_suite_")) and callable(f)]
+    assert len(funcs) == 13 + 4
+    for f in funcs:
+        src = inspect.getsource(f)
+        assert "print(" not in src and "sys.stdout" not in src, f.__name__
+
+
 def test_gabidulin_check_failure_exit_2(run, monkeypatch):
     monkeypatch.setattr(cd, "min_rank_distance", lambda code: 0)
     monkeypatch.setattr(cli.cd, "min_rank_distance", lambda code: 0)
@@ -537,6 +557,14 @@ EXACT_OUTPUT = [
      "# codebook q=2 m=2 n=2 size=3 modulus=1 1 1\n0 0\n1 0\n2 0\n"),
     ("search --what maxcode --q 2 --m 2 --n 2 --d 2", "4\n"),
     ("gabidulin --q 2 --m 3 --n 2 --k 1 --g 3,5", "2 3 2 1 1 1 0 1\n3 5\n"),
+    ("code --file @FILE@ --dual", "2 3 3 1 1 1 0 1\n3 6 1\n"),
+    ("gabidulin --q 2 --m 3 --n 3 --k 2 --check",
+     "# min_rank_distance: 2 (Singleton: 2)\n# mrd_els_check: True\n"
+     + GAB_2332),
+    ("verify --suite bounds",
+     "ok [bounds] covering bound anchors\n"
+     "ok [bounds] lower bounds never exceed upper bounds\n"
+     "ok [bounds] linear dimension anchors\n"),
 ]
 
 

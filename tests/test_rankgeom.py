@@ -4,6 +4,10 @@ Closed-form counts are checked against independent brute-force enumeration
 oracles wherever the ambient space is desk-scale.
 """
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,6 +154,44 @@ def test_rank_examples_gf4():
     assert rg.rank_distance(F, (1, 0, 0), (0, 0, 0)) == 1
 
 
+@pytest.mark.parametrize("q,m,vec,bad", [
+    (2, 3, (99,), 99), (3, 2, (-1, 5), -1), (2, 2, (4, 0), 4),
+], ids=["above", "negative", "order"])
+def test_rank_rejects_encodings_outside_the_field(q, m, vec, bad):
+    F = make_field(q, m)
+    with pytest.raises(ValueError, match=f"^encoding {bad} outside field$"):
+        rg.rank(F, vec)
+    with pytest.raises(ValueError, match=f"^encoding {bad} outside field$"):
+        rg.rank_distance(F, (0,) * len(vec), vec)
+
+
+def test_rank_distance_negative_encoding_terminates():
+    # Field.sub loops forever on a negative operand (-1 // 3 == -1), and
+    # rank_distance once passed it on, so this runs in a subprocess under a
+    # timeout
+    code = ("from rankmetric import rankgeom as rg\n"
+            "from rankmetric.ffield import make_field\n"
+            "try:\n"
+            "    rg.rank_distance(make_field(3, 2), (-1,), (0,))\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n")
+    src = Path(rg.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=20)
+    assert proc.stdout == "encoding -1 outside field\n"
+
+
+def test_rank_distance_rejects_vectors_of_different_lengths():
+    F = make_field(2, 3)
+    for u, v in (((1, 2), (1,)), ((), (0,)), ((1,), (1, 0))):
+        with pytest.raises(ValueError, match="vectors of different lengths"):
+            rg.rank_distance(F, u, v)
+    # a short center once counted as a ball of a shorter space (22 vectors)
+    with pytest.raises(ValueError, match="vectors of different lengths"):
+        rg.intersection_volume_brute(F, [((0, 0), 1), ((1,), 1)])
+
+
 def packed_rank_table(m, n):
     """Rank of every GF(2^m)^n vector, indexed by the packed bit encoding."""
     F = make_field(2, m)
@@ -228,6 +270,12 @@ def test_els_membership_and_elements():
     sub = rg.make_els(2, 3, [(1, 1, 0)])
     assert e.contains_els(sub)
     assert not e.contains_els(rg.make_els(2, 3, [(1, 0, 0)]))
+
+
+@pytest.mark.parametrize("rows", [[[1, 0, 1]], [[1]], [[1, 0], [0, 1, 1]]])
+def test_make_els_rejects_rows_not_of_length_n(rows):
+    with pytest.raises(ValueError, match="ELS rows must have length n = 2"):
+        rg.make_els(2, 2, rows)
 
 
 def test_support_els():
