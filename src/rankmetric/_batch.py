@@ -5,7 +5,9 @@ of GF(q^m)^n is an (n,) row of element encodings or one packed integer
 sum_j x_j * order^j: pack and unpack convert, vector_chunks streams the
 space in odometer order (position = packed encoding), and product is the
 one x G.  In both forms the base-q digits are the coordinates over GF(q),
-so add and sub work digit-wise on either.
+so add and sub work digit-wise on either.  The first three take the order
+q^m, or any base: subspace_chunks fills the RREF bases of the subspaces of
+GF(q)^n, the ELS's, from the odometer of vector_chunks(q, .).
 
 rank_words is the one rank entry point for scans over many vectors.  It
 eliminates the m x n expansions of a batch in lockstep, keeping one pivot
@@ -23,6 +25,7 @@ the covering radius and the covering searches alike.
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
@@ -47,9 +50,15 @@ def digits_table(field):
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def mul_lut(field, c):
-    """(order,) int64 lookup array for multiplication by the constant c."""
-    lut = np.array([field.mul(c, x) for x in range(field.order)],
-                   dtype=np.int64)
+    """(order,) int64 array of c x for every x.  x -> c x is GF(q)-linear:
+    digit s of c x is the digit row of x times column s of the m x m matrix
+    whose row t holds the digits of c alpha^t, in uint8: m (q-1)^2 < 256."""
+    q, digits = field.q, digits_table(field)
+    rows = np.array([field.digits(field.mul(c, q ** t))
+                     for t in range(field.m)], dtype=np.uint8)
+    lut = np.zeros(field.order, dtype=np.int64)
+    for s in reversed(range(field.m)):  # Horner, digit m-1 first
+        lut = lut * q + digits @ rows[:, s] % q
     lut.flags.writeable = False
     return lut
 
@@ -76,26 +85,40 @@ def sub(field, a, b):
     return a ^ b if field.q == 2 else _digitwise(field.q, a, b, -1)
 
 
-def pack(field, xs):
+def pack(order, xs):
     """Packed encodings of the rows of an (N, n) array, or of one vector."""
     xs = np.asarray(xs, dtype=np.int64)
-    return xs @ field.order ** np.arange(xs.shape[-1], dtype=np.int64)
+    return xs @ order ** np.arange(xs.shape[-1], dtype=np.int64)
 
 
-def unpack(field, packed, n):
+def unpack(order, packed, n):
     """(N, n) int64 array of the vectors of GF(q^m)^n packed as packed."""
     xs = np.asarray(packed, dtype=np.int64)[:, None] // \
-        field.order ** np.arange(n, dtype=np.int64)
-    xs %= field.order  # in place: one (N, n) array at a time
+        order ** np.arange(n, dtype=np.int64)
+    xs %= order  # in place: one (N, n) array at a time
     return xs
 
 
-def vector_chunks(field, k):
+def vector_chunks(order, k):
     """Every vector of GF(q^m)^k in odometer order, the vector with packed
     encoding v at position v: (N, k) int64 arrays, CHUNK at a time."""
-    total = field.order ** k
+    total = order ** k
     for start in range(0, total, CHUNK):
-        yield unpack(field, np.arange(start, min(start + CHUNK, total)), k)
+        yield unpack(order, np.arange(start, min(start + CHUNK, total)), k)
+
+
+def subspace_chunks(q, n, v):
+    """The v-dim subspaces of GF(q)^n as RREF bases, (N, v, n) uint32 arrays
+    of at most CHUNK: pivots in combinations order, last free entry fastest."""
+    for pivots in itertools.combinations(range(n), v):
+        # free entries: right of their row's pivot, outside pivot columns
+        rows, cols = np.nonzero((np.arange(n) > np.array(pivots)[:, None])
+                                & ~np.isin(range(n), pivots))
+        for values in vector_chunks(q, len(rows)):
+            bases = np.zeros((len(values), v, n), dtype=np.uint32)
+            bases[:, range(v), pivots] = 1
+            bases[:, rows, cols] = values[:, ::-1]
+            yield bases
 
 
 def product(field, xs, G):
@@ -184,6 +207,6 @@ def rank_table(field, n):
     """uint8 rank weights of every vector of GF(q^m)^n, indexed by its
     packed encoding sum_j x_j * order^j."""
     table = np.concatenate([rank_words(field, xs)
-                            for xs in vector_chunks(field, n)])
+                            for xs in vector_chunks(field.order, n)])
     table.flags.writeable = False
     return table

@@ -142,7 +142,7 @@ def _word_chunks(code):
         return _slices(np.array(code.words, dtype=np.int64))
     G = np.array(code.G, dtype=np.int64).reshape(code.k, code.n)
     return (_batch.product(code.field, xs, G)
-            for xs in _batch.vector_chunks(code.field, code.k))
+            for xs in _batch.vector_chunks(code.field.order, code.k))
 
 
 def _class_chunks(code):
@@ -152,7 +152,7 @@ def _class_chunks(code):
     F = code.field
     G = np.array(code.G, dtype=np.int64).reshape(code.k, code.n)
     for j in range(code.k):
-        for xs in _batch.vector_chunks(F, code.k - j - 1):
+        for xs in _batch.vector_chunks(F.order, code.k - j - 1):
             yield _batch.add(F, _batch.product(F, xs, G[j + 1:]), G[j])
 
 
@@ -268,12 +268,12 @@ def covering_radius(code):
         hit = np.zeros(F.order ** len(H), dtype=bool)
 
         def reach(shell):
-            return [_batch.pack(F, _batch.product(
-                F, _batch.unpack(F, shell, n), HT))]
+            return [_batch.pack(F.order, _batch.product(
+                F, _batch.unpack(F.order, shell, n), HT))]
     else:
         hit = np.zeros(ambient, dtype=bool)
         reach = functools.partial(_batch.balls, F,
-                                  centers=_batch.pack(F, code.words))
+                                  centers=_batch.pack(F.order, code.words))
     for rho in range(n + 1):
         for i, part in enumerate(_slices(_batch.rank_table(F, n))):
             shell = np.flatnonzero(part == rho)
@@ -332,12 +332,12 @@ def transpose_code(code):
     F, n = code.field, code.n
     if F.order ** n > rankgeom.BRUTE_GUARD:
         raise ValueError("ambient exceeds guard")
-    digits, F1 = _batch.digits_table(F), make_field(F.q, 1)
+    digits = _batch.digits_table(F)
     words = []
     for chunk in _word_chunks(code):
         # digits[chunk][w, j, i] is entry (i, j) of word w's expansion; row i,
         # packed over GF(q), becomes symbol i of the transposed word
-        words += _batch.pack(F1, digits[chunk].transpose(0, 2, 1)).tolist()
+        words += _batch.pack(F.q, digits[chunk].transpose(0, 2, 1)).tolist()
     return make_codebook(make_field(F.q, n), words)
 
 
@@ -368,21 +368,22 @@ def mrd_els_check(code):
 
     The members of V are c.B for its elementary basis B, and c.B lies in C
     iff (H.B^T) c = 0 for the parity checks H, so the sum is direct iff
-    H.B^T has rank n - k: one elimination per ELS, no element enumerated.
-    Agrees with min_rank_distance(code) == n - k + 1 (the MRD property).
-    Guarded by the number of ELS's, [n, n-k]_q.
+    H.B^T has rank n - k: one product per chunk of bases B (entries 0..q-1
+    encode GF(q)) gives every B.H^T to rank.  Agrees with min_rank_distance
+    == n - k + 1, the MRD property.  Guarded by the ELS count [n, n-k]_q.
     """
     if not isinstance(code, LinearCode):
         raise TypeError("mrd_els_check needs a LinearCode")
     F, n, k = code.field, code.n, code.k
     if n > F.m:
         raise ValueError("requires n <= m")
-    spaces = rankgeom.enumerate_els(F.q, n, n - k)
-    H = dual(code).G
+    chunks = rankgeom.subspaces(F.q, n, n - k)
+    HT = np.array(dual(code).G, dtype=np.int64).reshape(-1, n).T
     return all(
-        _linalg.rank_field(F, [[dot(F, h, b) for b in els.basis] for h in H])
-        == n - k
-        for els in spaces)
+        _linalg.rank_field(F, mat) == n - k
+        for bases in chunks
+        for mat in _batch.product(F, bases.reshape(-1, n), HT).reshape(
+            len(bases), n - k, n - k).tolist())
 
 
 def array_view(code, basis=None):

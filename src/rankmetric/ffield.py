@@ -191,16 +191,12 @@ class Field:
     # -- arithmetic ----------------------------------------------------------
 
     def _digitwise(self, a, b, sign):
-        """a + sign * b digit by digit mod q: one pass over the digits, which
-        stops where both operands run out."""
-        q = self.q
-        out = 0
-        mult = 1
-        while a or b:
+        """a + sign * b digit by digit mod q: one pass over at most m digits
+        (a negative operand never runs out), which stops where both do."""
+        q, out, mult = self.q, 0, 1
+        while (a or b) and mult < self.order:
             out += (a + sign * b) % q * mult
-            a //= q
-            b //= q
-            mult *= q
+            a, b, mult = a // q, b // q, mult * q
         return out
 
     def add(self, a, b):

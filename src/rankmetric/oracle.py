@@ -187,7 +187,7 @@ def is_covering(q, m, n, centers, rho):
 
 def _verified(F, n, centers, rho, search):
     """The packed centers as sorted vectors, which is_covering must accept."""
-    words = sorted(map(tuple, _batch.unpack(F, centers, n).tolist()))
+    words = sorted(map(tuple, _batch.unpack(F.order, centers, n).tolist()))
     if not is_covering(F.q, F.m, n, words, rho):
         raise AssertionError(f"{search} produced a non-covering; bug")
     return words
@@ -218,7 +218,7 @@ def exhaustive_min_covering(q, m, n, rho, K, *, max_nodes=MAX_NODES):
     F, Q, offsets, unc, gains = _covering_state(q, m, n, rho)
     if K < 1:
         return CoveringDecision(False)
-    second = [int(_batch.pack(F, canonical_rank_vector(F, n, r)))
+    second = [int(_batch.pack(F.order, canonical_rank_vector(F, n, r)))
               for r in range(1, min(m, n) + 1)]
     budget = _Budget(max_nodes, f"K={K}", f"best coverage {{}} of {Q} vectors")
     chosen = [0]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import mpmath
 
-from . import _linalg
+from . import _batch, _linalg
 from .ffield import make_field
 
 BRUTE_GUARD = 1 << 24  # cap on enumerated ambient size
@@ -141,11 +141,12 @@ def check_encodings(field, rows):
 
 
 def rank(field, vec):
-    """Rank weight: GF(q)-rank of the m x n expansion of vec.  Raises
-    ValueError for an entry outside [0, q^m)."""
+    """Rank weight: GF(q)-rank of the m x n expansion of vec, or of its n
+    digit rows.  Raises ValueError for an entry outside [0, q^m)."""
     vec = tuple(int(x) for x in vec)  # tolerate numpy integers
     check_encodings(field, (vec,))
-    return _linalg.rank_field(make_field(field.q, 1), field.expand(vec))
+    return _linalg.rank_field(make_field(field.q, 1),
+                              list(map(field.digits, vec)))
 
 
 def rank_distance(field, u, v):
@@ -214,38 +215,22 @@ def make_els(q, n, rows):
     return Els(q, n, tuple(tuple(r) for r in rref))
 
 
-def _subspaces(q, n, v):
-    """All v-dim subspaces of GF(q)^n as RREF bases, within the ELS guard."""
-    check_els_count(q, n, v)
-    for pivots in itertools.combinations(range(n), v):
-        free = [
-            (i, c)
-            for i in range(v)
-            for c in range(pivots[i] + 1, n)
-            if c not in pivots
-        ]
-        for values in itertools.product(range(q), repeat=len(free)):
-            rows = [[0] * n for _ in range(v)]
-            for i, p in enumerate(pivots):
-                rows[i][p] = 1
-            for (i, c), val in zip(free, values):
-                rows[i][c] = val
-            yield tuple(tuple(r) for r in rows)
-
-
-def check_els_count(q, n, v):
-    """Refuse to enumerate more than BRUTE_GUARD ELS's of dimension v."""
+def subspaces(q, n, v):
+    """The v-dim subspaces of GF(q)^n, that is the ELS's of dimension v, as
+    _batch.subspace_chunks streams them.  Refuses at the call a v outside
+    [0, n] and more than BRUTE_GUARD subspaces."""
+    if not 0 <= v <= n:
+        raise ValueError(f"dimension {v} outside [0, {n}]")
     count = gaussian(n, v, q)
     if count > BRUTE_GUARD:
         raise ValueError(f"ELS count {count} exceeds guard {BRUTE_GUARD}")
+    return _batch.subspace_chunks(q, n, v)
 
 
 def enumerate_els(q, n, v):
-    """All ELS's of dimension v in GF(q^m)^n, for every m: they biject with
-    the v-dim subspaces of GF(q)^n, so there are [n v]_q of them."""
-    if not 0 <= v <= n:
-        raise ValueError(f"dimension {v} outside [0, {n}]")
-    return [Els(q, n, rows) for rows in _subspaces(q, n, v)]
+    """All [n v]_q ELS's of dimension v in GF(q^m)^n, for every m."""
+    return [Els(q, n, tuple(map(tuple, basis)))
+            for bases in subspaces(q, n, v) for basis in bases.tolist()]
 
 
 def support_els(field, vec):
@@ -261,7 +246,7 @@ def complements(els_a, els_v):
     a, v, n, q = els_a.dim, els_v.dim, els_v.n, els_v.q
     F1 = make_field(q, 1)
     out = []
-    for sub in _subspaces(q, v, v - a):
+    for sub in (b for bases in subspaces(q, v, v - a) for b in bases.tolist()):
         # lift the internal subspace through V's basis
         rows_b = [_linalg.lincomb(F1, c, els_v.basis, n) for c in sub]
         if _linalg.rank_field(F1, [*els_a.basis, *rows_b]) == v:

@@ -223,6 +223,34 @@ def test_jsl_bound_against_high_precision_floor():
                         (q, m, n, rho)
 
 
+@pytest.mark.parametrize("q,m,n,rho", [
+    (2, 10, 9, 3), (2, 16, 16, 8), (2, 7, 5, 2), (3, 6, 4, 2), (3, 5, 5, 1),
+    (5, 4, 4, 1)])
+def test_jsl_bound_doubles_a_straddling_precision(monkeypatch, q, m, n, rho):
+    # at the working precision the interval never straddles an integer on
+    # the tables' grids, so the doubling only runs from a start of 3 digits
+    _, v = ball_counts(q, m, n, rho)
+    Q = q ** (m * n)
+    with mp.workdps(600):
+        want = int(mp.floor(mp.mpf(Q) / v * (1 + mp.log(v))))
+    tried, floors = [], bd._interval_floors
+
+    def recorded(expr, dps):
+        tried.append(dps)
+        return floors(expr, dps)
+    monkeypatch.setattr(bd, "_working_dps", lambda Q: 3)
+    monkeypatch.setattr(bd, "_interval_floors", recorded)
+    assert bd._jsl_bound(q, m, n, v) == want
+    assert tried[:2] == [3, 6]
+    assert tried == [3 * 2 ** i for i in range(len(tried))]
+
+
+def test_probabilistic_bound_refuses_a_covering_ball():
+    # V = Q: one ball is the whole space, and no K has (Q - V)^K < Q^(K-1)
+    with pytest.raises(ValueError, match="^ball covers the whole space$"):
+        bd._probabilistic_bound(2, 1, 1, 2)
+
+
 def test_mixed_bound_against_split_enumeration():
     # independent oracle: enumerate every split as (first part) x (rest)
     def brute_gain(m, n, rho):

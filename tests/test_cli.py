@@ -162,6 +162,17 @@ def test_macwilliams_spec_example(run, tmp_path):
         == 1
 
 
+@pytest.mark.parametrize("dist,m", [("2,2", "1"), ("3,1", "2")])
+def test_macwilliams_text_refuses_a_non_code_distribution(run, dist, m):
+    # the text form once skipped the moment checks, so it printed A and B
+    # of a distribution with A_0 != 1 and exited 0 where JSON exited 1
+    for fmt in ("text", "json"):
+        rc, out, err = run("macwilliams", "--dist", dist, "--q", "2",
+                           "--m", m, "--format", fmt)
+        assert (rc, out) == (1, "")
+        assert err == "error: A, B do not form an (n,k)/(n,n-k) pair\n"
+
+
 def test_moments_command(run, tmp_path):
     F = make_field(2, 3)
     path = tmp_path / "gab.txt"
@@ -456,7 +467,11 @@ def test_els_list_guard_exits_1(run, monkeypatch, argv):
     # With the guard lowered to 34, dimension 2 (35 subspaces) is refused
     # before any dimension is listed
     monkeypatch.setattr(rg, "BRUTE_GUARD", 34)
-    monkeypatch.setattr(rg, "enumerate_els", None)  # listing anything fails
+
+    def unlisted(q, n, v):  # a walk may be made, but not read
+        raise AssertionError(f"dimension {v} listed before every guard ran")
+        yield
+    monkeypatch.setattr(rg._batch, "subspace_chunks", unlisted)
     rc, out, err = run(*argv)
     assert (rc, out) == (1, "")
     assert err == "error: ELS count 35 exceeds guard 34\n"

@@ -419,9 +419,9 @@ def test_covering_radius_reads_shells_in_chunks(monkeypatch):
         assert 1 <= len(offsets) <= 64
         return builder(field, offsets, centers)
 
-    def bounded_unpack(field, packed, n):
+    def bounded_unpack(order, packed, n):
         assert 1 <= len(packed) <= 64
-        return unpacker(field, packed, n)
+        return unpacker(order, packed, n)
     monkeypatch.setattr(_batch, "CHUNK", 64)
     monkeypatch.setattr(_batch, "balls", bounded_balls)
     monkeypatch.setattr(_batch, "unpack", bounded_unpack)

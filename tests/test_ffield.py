@@ -1,10 +1,15 @@
 """Tests for GF(q^m) arithmetic, bases, traces, and expansions."""
 import functools
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rankmetric
 from rankmetric.ffield import (
     Field,
     default_modulus,
@@ -322,3 +327,17 @@ def test_pow_edge_cases():
     assert F.pow(4, -1) == F.inv(4)
     with pytest.raises(ZeroDivisionError):
         F.inv(0)
+
+
+def test_digitwise_add_sub_neg_stop_after_m_digits():
+    # Field._digitwise once looped forever on a negative operand
+    # (-1 // 3 == -1), so this runs in a subprocess under a timeout; it
+    # also read past m digits, so add(9, 0) left GF(9)
+    code = ("from rankmetric.ffield import make_field\n"
+            "F = make_field(3, 2)\n"
+            "print(F.sub(-1, 0), F.add(-1, 0), F.neg(-1), F.add(9, 0))\n")
+    src = Path(rankmetric.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=20)
+    assert proc.stdout == "8 8 4 0\n"

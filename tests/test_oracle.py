@@ -251,11 +251,16 @@ def test_covering_witnesses_are_reverified(monkeypatch):
 def _covers_pairwise(q, m, n, centers, rho):
     """Scalar reference: the rank distance of every (vector, center) pair,
     as the GF(q)-rank of the difference's m x n expansion."""
-    F, F1 = make_field(q, m), make_field(q, 1)
-    dists = [[_linalg.rank_field(F1, F.expand(
-        tuple(F.sub(a, b) for a, b in zip(v, c)))) for c in centers]
-        for v in itertools.product(range(F.order), repeat=n)]
+    F = make_field(q, m)
+    dists = [[_expansion_distance(F, v, c) for c in centers]
+             for v in itertools.product(range(F.order), repeat=n)]
     return all(min(row) <= rho for row in dists)
+
+
+def _expansion_distance(F, u, v):
+    """The GF(q)-rank of the m x n expansion of u - v."""
+    return _linalg.rank_field(make_field(F.q, 1), F.expand(
+        tuple(F.sub(a, b) for a, b in zip(u, v))))
 
 
 @pytest.mark.parametrize("q,m,n,rho,trials", [
@@ -323,13 +328,22 @@ class _Unusable:
 
 @pytest.mark.parametrize("q,m,n,rho", [(2, 3, 2, 1), (3, 2, 2, 1)])
 def test_is_covering_independent_of_array_kernels(monkeypatch, q, m, n, rho):
+    # is_covering and the scalar rankgeom.rank, rank_distance and
+    # enumerate_vectors it rests on check the array kernels, so they must
+    # not run on them
     greedy = list(oc.greedy_covering(q, m, n, rho).words)
     monkeypatch.setattr(oc, "_batch", _Unusable("_batch"))
     monkeypatch.setattr(oc, "np", _Unusable("np"))
+    monkeypatch.setattr(rg, "_batch", _Unusable("rankgeom._batch"))
     assert oc.is_covering(q, m, n, greedy, rho)
     for centers in (greedy[1:], greedy[:-1], greedy[::2]):
         assert oc.is_covering(q, m, n, centers, rho) == _covers_pairwise(
             q, m, n, centers, rho)
+    F = make_field(q, m)
+    vectors = list(rg.enumerate_vectors(F, n))
+    assert len(vectors) == F.order ** n
+    assert [rg.rank_distance(F, v, greedy[-1]) for v in vectors] == [
+        _expansion_distance(F, v, greedy[-1]) for v in vectors]
 
 
 @pytest.mark.parametrize("q,m,n,rho,K,exists,nodes", [
