@@ -16,11 +16,11 @@ and on bitmask rows for q = 2.  A missing pivot is a zero row, and reducing
 by a zero row changes nothing, so every elimination step is one
 unconditional array operation on all samples.  Scans feed it CHUNK vectors
 at a time, so their peak memory does not grow with the ambient size;
-rank_table caches the ranks of a whole ambient.
+shell streams the rank-r vectors of an ambient from the ELS walk.
 
 balls is the one rank-ball builder: the translates c + o of offsets o (a
-ball, or one shell of it read off rank_table) around many centers c, for
-the covering radius and the covering searches alike.
+ball, or one chunk of a shell) around many centers c, for the covering
+radius and the covering searches alike.
 """
 from __future__ import annotations
 
@@ -29,9 +29,8 @@ import itertools
 
 import numpy as np
 
-CHUNK = 1 << 16       # vectors per kernel call in every scan
-CACHE_SIZE = 8        # tables kept per builder; a guard-sized rank table is 16 MB
-BALL_CHUNK = 1 << 12  # encodings per block of balls: 32 KB per temporary
+CHUNK = 1 << 16  # vectors per kernel call in every scan
+CACHE_SIZE = 8   # tables kept per builder: digits, multiplication, duals
 
 # The cached tables are shared by every caller, so they are made read-only.
 
@@ -64,14 +63,17 @@ def mul_lut(field, c):
 
 
 def _digitwise(q, a, b, sign):
-    """a + sign * b digit by digit in base q, until both run out of digits."""
+    """a + sign * b digit by digit in base q, until both run out of digits.
+    A negative operand never runs out, so it is refused."""
     a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64),
                                np.asarray(b, dtype=np.int64))
+    if (a < 0).any() or (b < 0).any():
+        raise ValueError("negative encoding")
     out = np.zeros(a.shape, dtype=np.int64)
-    scale = 1
-    while a.any() or b.any():
-        out += (a + sign * b) % q * scale
-        a, b, scale = a // q, b // q, scale * q
+    top, scale = int(max(a.max(initial=0), b.max(initial=0))), 1
+    while scale <= top:
+        out += (a // scale + sign * (b // scale)) % q * scale
+        scale *= q
     return out
 
 
@@ -121,6 +123,21 @@ def subspace_chunks(q, n, v):
             yield bases
 
 
+def shell(field, n, r):
+    """Packed rank-r vectors of GF(q^m)^n, at most CHUNK at a time: by the
+    ELS lemma, x B once for each r-dim RREF basis B and x of rank r."""
+    luts = np.stack([mul_lut(field, c) for c in range(field.q)])  # [c, x]: c x
+    for xs in vector_chunks(field.order, r):
+        xs = xs[rank_words(field, xs) == r]
+        step = CHUNK // max(1, len(xs))  # at least 1: xs came in one chunk
+        for bases in subspace_chunks(field.q, n, r) if len(xs) else ():
+            for B in np.split(bases[:, None], range(step, len(bases), step)):
+                out = np.zeros((len(B), len(xs)), dtype=np.int64)
+                for Bt, xt in zip(np.moveaxis(B, 2, 0), xs.T[:, :, None]):
+                    out = add(field, out, pack(field.order, luts[Bt, xt]))
+                yield out.ravel()
+
+
 def product(field, xs, G):
     """(N, n) products x G of the rows x of an (N, k) array of encodings and
     a (k, n) integer array G: the codewords of messages x, or the syndromes
@@ -133,10 +150,10 @@ def product(field, xs, G):
 
 
 def balls(field, offsets, centers):
-    """Packed encodings c + o, BALL_CHUNK at a time: one row per center c,
-    one column per offset o.  The offsets must not be empty."""
+    """Packed encodings c + o, CHUNK at a time: one row per center c, one
+    column per offset o.  The offsets must not be empty."""
     centers = np.asarray(centers, dtype=np.int64)
-    step = max(1, BALL_CHUNK // len(offsets))
+    step = max(1, CHUNK // len(offsets))
     for i in range(0, len(centers), step):
         yield add(field, centers[i:i + step, None], offsets)
 
@@ -154,7 +171,7 @@ def rank_digit_mats(q, mats):
     inv = np.array([0] + [pow(v, -1, q) for v in range(1, q)], dtype=np.uint8)
     piv = np.zeros((n, nmat, n), dtype=np.uint8)
     ranks = np.zeros(nmat, dtype=np.uint8)
-    for r in range(m):
+    for r in range(m if n else 0):  # no columns, no pivots
         cur = mats[:, r, :].copy()
         for c in range(n):
             cur = (cur + (q - cur[:, c, None]) * piv[c]) % q
@@ -200,13 +217,3 @@ def rank_words(field, words):
         return rank_bits_gf2(words.astype(np.uint32))
     mats = digits_table(field)[words].transpose(0, 2, 1)  # (N, m, n)
     return rank_digit_mats(field.q, mats)
-
-
-@functools.lru_cache(maxsize=CACHE_SIZE)
-def rank_table(field, n):
-    """uint8 rank weights of every vector of GF(q^m)^n, indexed by its
-    packed encoding sum_j x_j * order^j."""
-    table = np.concatenate([rank_words(field, xs)
-                            for xs in vector_chunks(field.order, n)])
-    table.flags.writeable = False
-    return table

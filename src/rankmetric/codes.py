@@ -8,8 +8,8 @@ codewords or ambient vectors in fixed-size chunks through the vectorized
 rank kernel of _batch, for every q, and are guarded by an enumeration cap.
 
 The covering radius grows the rank ball around the code shell by shell
-(_batch.rank_table, _batch.balls) until it reaches every syndrome of a
-linear code, or every vector around a codebook.
+(_batch.shell, _batch.balls) until it reaches every syndrome of a linear
+code, or every vector around a codebook.
 
 Weight distributions of a linear code rank one codeword per scalar class:
 x -> a x is a GF(q)-linear bijection of GF(q^m) for every nonzero a, so the
@@ -249,39 +249,34 @@ def dot(field, u, v):
 def covering_radius(code):
     """max over the ambient space of the rank distance to the code, exact.
 
-    Grows the rank ball around the code shell by shell: the rank-rho
-    vectors, read off _batch.rank_table in _batch.CHUNK slices, mark what
-    they reach in one boolean mask, and the first rho that marks it all is
-    the radius.  A linear code marks the syndromes of the shell (every coset
-    then has a leader of rank <= rho), a codebook the translates c + x of
-    the shell around its codewords c.  Guarded by the ambient size q^{mn}.
+    Grows the rank ball around the code shell by shell (_batch.shell) in one
+    boolean mask; the first rho that fills it is the radius, else min(m, n).
+    A linear code marks the syndromes of the shell (every coset then has a
+    leader of rank <= rho), a codebook the translates c + x of the shell
+    around its codewords c.  Guarded by the ambient size q^{mn}.
     """
     F, n = code.field, code.n
     ambient = F.order ** n
     if ambient > rankgeom.BRUTE_GUARD:
         raise ValueError(f"ambient size {ambient} exceeds guard")
-    if isinstance(code, LinearCode):
-        H = dual(code).G
-        if not H:  # k = n: the whole space covers itself
-            return 0
-        HT = np.array(H, dtype=np.int64).T
-        hit = np.zeros(F.order ** len(H), dtype=bool)
+    if isinstance(code, LinearCode):  # at k = n, HT is (n, 0): syndrome 0
+        HT = np.array(dual(code).G, dtype=np.int64).reshape(n - code.k, n).T
+        hit = np.zeros(F.order ** HT.shape[1], dtype=bool)
 
-        def reach(shell):
+        def reach(vectors):
             return [_batch.pack(F.order, _batch.product(
-                F, _batch.unpack(F.order, shell, n), HT))]
+                F, _batch.unpack(F.order, vectors, n), HT))]
     else:
         hit = np.zeros(ambient, dtype=bool)
         reach = functools.partial(_batch.balls, F,
                                   centers=_batch.pack(F.order, code.words))
-    for rho in range(n + 1):
-        for i, part in enumerate(_slices(_batch.rank_table(F, n))):
-            shell = np.flatnonzero(part == rho)
-            if shell.size:  # rank 0 lives only in the first slice
-                for idx in reach(shell + i * _batch.CHUNK):
-                    hit[idx] = True
+    for rho in range(min(F.m, n)):
+        for vectors in _batch.shell(F, n, rho):
+            for idx in reach(vectors):
+                hit[idx] = True
         if hit.all():
             return rho
+    return min(F.m, n)
 
 
 # ---------------------------------------------------------------------------

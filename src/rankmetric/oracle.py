@@ -19,12 +19,12 @@ The exact covering search prunes by two rules that lose no covering:
   falls short of what is left uncovered holds no covering.
 
 Vectors in GF(q^m)^n are packed into integers by _batch.pack, the odometer
-convention the code enumerators use; rank weights and balls come from
-_batch.rank_table and _batch.balls, shared with the covering radius.  Every
-witness is re-checked by is_covering, which stays independent of _batch and
-numpy: it ranks one vector per class {a*v : a in GF(q^m)*} with scalar
-rankgeom.rank, since rank(a*v) = rank(v), and marks the balls around the
-centers in a byte map.
+convention the code enumerators use; a search ranks its own ambient with
+_batch.rank_words, uncached, and builds balls with _batch.balls, shared
+with the covering radius.  Every witness is re-checked by is_covering,
+which stays independent of _batch and numpy: it ranks one vector per class
+{a*v : a in GF(q^m)*} with scalar rankgeom.rank, since rank(a*v) = rank(v),
+and marks the balls around the centers in a byte map.
 """
 from __future__ import annotations
 
@@ -96,7 +96,8 @@ def _covering_state(q, m, n, rho):
     Q = F.order ** n
     if Q > MAX_SPACE:
         raise InconclusiveSearch(f"ambient size {Q} exceeds budget")
-    offsets = np.flatnonzero(_batch.rank_table(F, n) <= rho)
+    offsets = np.flatnonzero(np.concatenate([
+        _batch.rank_words(F, xs) for xs in _batch.vector_chunks(F.order, n)]) <= rho)
     gains = np.full(Q, len(offsets), dtype=np.int64)
     return F, Q, offsets, np.ones(Q, dtype=bool), gains
 
@@ -297,7 +298,7 @@ def max_code_search(q, m, n, d, *, max_nodes=MAX_NODES):
     if Q > CLIQUE_SPACE:
         raise InconclusiveSearch(f"ambient size {Q} exceeds clique budget")
 
-    tab = _batch.rank_table(F, n)
+    tab = _batch.rank_words(F, _batch.unpack(F.order, np.arange(Q), n))
     verts = np.flatnonzero(tab >= d)  # the zero vector has rank 0 < d
     far = tab[_batch.sub(F, verts[:, None], verts)] >= d
     adj = [_bitmask(row) for row in far]  # the diagonal has distance 0

@@ -391,8 +391,8 @@ def test_covering_radius_nonlinear_codebooks(q, m, n):
 
 
 def test_covering_radius_codebooks_past_one_chunk():
-    """Ambients of 2^20 vectors span 16 slices of _batch.CHUNK, and the
-    rank-0 shell is empty in all of them but the first."""
+    """Ambients of 2^20 vectors hold shells of many _batch.CHUNK chunks,
+    while the rank-0 shell is the one vector 0."""
     F = make_field(2, 5)
     assert F.order ** 4 == 16 * _batch.CHUNK
     G = cd.gabidulin(F, F.polynomial_basis()[:4], 2)
@@ -426,6 +426,14 @@ def test_covering_radius_reads_shells_in_chunks(monkeypatch):
     monkeypatch.setattr(_batch, "balls", bounded_balls)
     monkeypatch.setattr(_batch, "unpack", bounded_unpack)
     assert [cd.covering_radius(C) for C in codes] == expected
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_covering_radius_of_length_zero(q):
+    # GF(q^m)^0 holds one vector, the code; odd q once failed ranking it
+    F = make_field(q, 2)
+    assert cd.covering_radius(cd.make_codebook(F, [()])) == 0
+    assert cd.covering_radius(cd.make_zero_code(F, 0)) == 0
 
 
 def test_covering_radius_guard():

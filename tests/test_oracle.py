@@ -34,9 +34,11 @@ def test_exhaustive_covering_monotone_in_K():
 
 
 def test_exhaustive_covering_trivia():
-    # a single ball of radius n covers everything
-    for q, m, n in ((2, 2, 2), (3, 2, 2), (2, 3, 2)):
-        dec = oc.exhaustive_min_covering(q, m, n, n, 1)
+    # a single ball of radius n covers everything, as does one of a radius
+    # above min(m, n)
+    for q, m, n, rho in ((2, 2, 2, 2), (3, 2, 2, 2), (2, 3, 2, 2),
+                         (2, 2, 2, 9), (3, 1, 2, 5)):
+        dec = oc.exhaustive_min_covering(q, m, n, rho, 1)
         assert dec.exists and dec.witness == (((0,) * n),)
     assert not oc.exhaustive_min_covering(2, 2, 2, 1, 0).exists
     with pytest.raises(ValueError):
@@ -88,6 +90,9 @@ def test_greedy_covering_deterministic():
 def test_greedy_covering_radius_n_single_word():
     assert oc.greedy_covering(3, 2, 2, 2).words == ((0, 0),)
     assert oc.greedy_covering(2, 3, 3, 3).words == ((0, 0, 0),)
+    # radii above min(m, n)
+    assert oc.greedy_covering(2, 1, 3, 2).words == ((0, 0, 0),)
+    assert oc.greedy_covering(3, 2, 1, 4).words == ((0,),)
 
 
 def test_greedy_covering_nonbinary():

@@ -192,16 +192,17 @@ def test_rank_distance_rejects_vectors_of_different_lengths():
         rg.intersection_volume_brute(F, [((0, 0), 1), ((1,), 1)])
 
 
-def packed_rank_table(m, n):
+def packed_ranks(m, n):
     """Rank of every GF(2^m)^n vector, indexed by the packed bit encoding."""
     F = make_field(2, m)
-    return F, _batch.rank_table(F, n)
+    xs = _batch.unpack(F.order, np.arange(F.order ** n), n)
+    return F, _batch.rank_words(F, xs)
 
 
 @pytest.mark.parametrize("m,n", [(1, 2), (2, 2), (2, 3), (3, 2), (3, 3)])
 def test_rank_invariant_under_gl_action(m, n):
     """Exhaustive: rank(x) == rank(x @ M) for every invertible M over GF(2)."""
-    F, table = packed_rank_table(m, n)
+    F, table = packed_ranks(m, n)
     xs = np.arange(1 << (m * n), dtype=np.int64)
     coord = [(xs >> (j * m)) & ((1 << m) - 1) for j in range(n)]
     for M in itertools.product(range(2), repeat=n * n):
@@ -392,10 +393,10 @@ def test_intersection_closed_examples():
 def distance_volume_scan(m, n):
     """Brute volumes |B_r1(0) ∩ B_r2(c)| for all c, grouped by rank(c).
 
-    Uses the packed q=2 rank table: subtraction is XOR of packed encodings,
+    Uses the packed q=2 ranks: subtraction is XOR of packed encodings,
     so each volume is one vectorized table lookup.
     """
-    F, table = packed_rank_table(m, n)
+    F, table = packed_ranks(m, n)
     xs = np.arange(1 << (m * n), dtype=np.int64)
     rmax = min(m, n)
     vols = {}  # (r1, r2, dist) -> set of observed volumes
@@ -442,7 +443,7 @@ def test_intersections_exhaustive_gf2(m, n):
 def test_intersection_translation_invariance():
     """Volumes depend only on the difference of the centers (checked with
     off-origin center pairs, exhaustively at q=2, m=n=2)."""
-    F, table = packed_rank_table(2, 2)
+    F, table = packed_ranks(2, 2)
     xs = np.arange(16, dtype=np.int64)
     for c1 in range(16):
         for c2 in range(16):
@@ -568,6 +569,10 @@ def test_batch_kernels_on_empty_and_zero_batches(q, nmat):
         == zeros
     assert list(_batch.rank_digit_mats(q, np.zeros((nmat, 3, 4)))) == zeros
     assert list(_batch.rank_bits_gf2(np.zeros((nmat, 3)))) == zeros
+    # vectors of length 0, the coefficients of the rank-0 shell
+    assert list(_batch.rank_words(F, np.zeros((nmat, 0), dtype=np.int64))) \
+        == zeros
+    assert list(_batch.rank_digit_mats(q, np.zeros((nmat, 3, 0)))) == zeros
 
 
 def test_batch_rank_words_gf2_16_top_bit():
@@ -590,13 +595,60 @@ def test_batch_rank_words_whole_ambient(q, m, n):
     assert list(_batch.rank_words(F, words)) == [rg.rank(F, w) for w in words]
 
 
-@pytest.mark.parametrize("q", [2, 3])
-def test_rank_table_full_agreement(q):
-    F = make_field(q, 3)
-    table = _batch.rank_table(F, 2)
-    for x in range(F.order):
-        for y in range(F.order):
-            assert table[x + y * F.order] == rg.rank(F, (x, y))
+def test_batch_add_sub_refuse_negative_encodings():
+    # _batch._digitwise once ran on a negative operand until its digit
+    # scale overflowed int64, so this runs in a subprocess under a timeout
+    code = ("import numpy as np\n"
+            "from rankmetric import _batch\n"
+            "from rankmetric.ffield import make_field\n"
+            "F = make_field(3, 2)\n"
+            "for op in (_batch.add, _batch.sub):\n"
+            "    for a, b in (([-1], [0]), ([0], [-1]), ([4, -3], [1, 1])):\n"
+            "        try:\n"
+            "            print(op(F, np.array(a), np.array(b)))\n"
+            "        except ValueError as exc:\n"
+            "            print(exc)\n"
+            "print(_batch.add(F, np.array([9, 3 ** 30]), [0, 1]).tolist())\n")
+    src = Path(rg.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=20)
+    # packed encodings of any length stay valid operands
+    assert proc.stdout == "negative encoding\n" * 6 + f"[9, {3 ** 30 + 1}]\n"
+
+
+def check_shells(q, m, n):
+    """_batch.shell(F, n, r) for r = 0..min(m, n) yields every vector of
+    GF(q^m)^n once, in chunks of 1 to CHUNK, each in the shell of its
+    scalar rank."""
+    F = make_field(q, m)
+    shell_of = np.full(F.order ** n, -1)
+    count = np.zeros(F.order ** n, dtype=np.int64)
+    for r in range(min(m, n) + 1):
+        for part in _batch.shell(F, n, r):
+            assert 1 <= len(part) <= _batch.CHUNK
+            np.add.at(count, part, 1)
+            shell_of[part] = r
+    assert (count == 1).all()
+    vectors = _batch.unpack(F.order, np.arange(F.order ** n), n).tolist()
+    assert shell_of.tolist() == [rg.rank(F, v) for v in vectors]
+
+
+@pytest.mark.parametrize("q,m,n", [(2, 1, 3), (2, 2, 2), (2, 3, 3), (3, 2, 3),
+                                   (5, 2, 2), (2, 4, 4), (3, 3, 3), (2, 3, 5)])
+def test_shells_partition_the_ambient(q, m, n):
+    check_shells(q, m, n)
+
+
+def test_shells_partition_with_small_chunks(monkeypatch):
+    """With CHUNK = 4 some odometer chunks of coefficient vectors hold no
+    vector of full rank, and the shells still partition the ambient."""
+    monkeypatch.setattr(_batch, "CHUNK", 4)
+    F = make_field(2, 3)
+    assert any(not (_batch.rank_words(F, xs) == 2).any()
+               for xs in _batch.vector_chunks(F.order, 2))
+    check_shells(2, 3, 3)
+    check_shells(3, 1, 3)
 
 
 def test_vector_chunks_of_packed_encodings():
