@@ -1,11 +1,12 @@
 """Vectorized (numpy) rank kernels over GF(q) and the chunked scans built on them.
 
-pack, unpack, vector_chunks and product are the one vector layer.  A vector
+pack, unpack, vector_chunks and times are the one vector layer.  A vector
 of GF(q^m)^n is an (n,) row of element encodings or one packed integer
 sum_j x_j * order^j: pack and unpack convert, vector_chunks streams the
-space in odometer order (position = packed encoding), and product is the
-one x G.  In both forms the base-q digits are the coordinates over GF(q),
-so add and sub work digit-wise on either.  The first three take the order
+space in odometer order (position = packed encoding), and times(field, G)
+is the one x G, its tables built once for every chunk.  In both forms the
+base-q digits are the coordinates over GF(q), so add and sub work
+digit-wise on either.  The first three take the order
 q^m, or any base: subspace_chunks fills the RREF bases of the subspaces of
 GF(q)^n, the ELS's, from the odometer of vector_chunks(q, .).
 
@@ -124,29 +125,37 @@ def subspace_chunks(q, n, v):
 
 
 def shell(field, n, r):
-    """Packed rank-r vectors of GF(q^m)^n, at most CHUNK at a time: by the
-    ELS lemma, x B once for each r-dim RREF basis B and x of rank r."""
+    """The rank-r vectors of GF(q^m)^n as (N, n) arrays of encodings, N at
+    most CHUNK: by the ELS lemma, x B once for each r-dim RREF basis B and
+    x of rank r.  Coordinate j of x B is sum_t B[t, j] x_t, read off the
+    rows c x_t (c < q) of a (q, r, len(xs)) table, one row per (B, t, j)."""
     luts = np.stack([mul_lut(field, c) for c in range(field.q)])  # [c, x]: c x
     for xs in vector_chunks(field.order, r):
         xs = xs[rank_words(field, xs) == r]
+        scaled = luts[:, xs.T]
         step = CHUNK // max(1, len(xs))  # at least 1: xs came in one chunk
         for bases in subspace_chunks(field.q, n, r) if len(xs) else ():
-            for B in np.split(bases[:, None], range(step, len(bases), step)):
-                out = np.zeros((len(B), len(xs)), dtype=np.int64)
-                for Bt, xt in zip(np.moveaxis(B, 2, 0), xs.T[:, :, None]):
-                    out = add(field, out, pack(field.order, luts[Bt, xt]))
-                yield out.ravel()
+            for B in np.split(bases, range(step, len(bases), step)):
+                out = np.zeros((len(B), n, len(xs)), dtype=np.int64)
+                for t in range(r):
+                    out = add(field, out, scaled[:, t][B[:, t]])
+                yield out.transpose(0, 2, 1).reshape(-1, n)
 
 
-def product(field, xs, G):
-    """(N, n) products x G of the rows x of an (N, k) array of encodings and
-    a (k, n) integer array G: the codewords of messages x, or the syndromes
-    of vectors x when G is a transposed parity-check matrix."""
-    out = np.zeros((len(xs), G.shape[1]), dtype=np.int64)
-    for (i, j), g in np.ndenumerate(G):
-        if g:
-            out[:, j] = add(field, out[:, j], mul_lut(field, int(g))[xs[:, i]])
-    return out
+def times(field, G):
+    """The map x -> x G on (N, k) arrays x of encodings, for a (k, n)
+    integer array G: the codewords of messages x, or the syndromes of
+    vectors x when G is a transposed parity-check matrix.  The table of
+    each nonzero entry of G is looked up once, not once per call."""
+    terms = [(i, j, mul_lut(field, int(g)))
+             for (i, j), g in np.ndenumerate(G) if g]
+
+    def apply(xs):
+        out = np.zeros((len(xs), G.shape[1]), dtype=np.int64)
+        for i, j, lut in terms:
+            out[:, j] = add(field, out[:, j], lut[xs[:, i]])
+        return out
+    return apply
 
 
 def balls(field, offsets, centers):

@@ -576,7 +576,9 @@ def build_parser():
     p.add_argument("--dual", action="store_true",
                    help="emit the dual code file instead of a summary")
     p.add_argument("--radius", action="store_true",
-                   help="also compute the covering radius (guarded)")
+                   help="also compute the covering radius; skipped past "
+                        "2^24 syndromes q^(m(n-k)) or vectors in one rank "
+                        "shell of a linear code")
     _add_format(p)
     p.set_defaults(func=cmd_code)
 

@@ -141,8 +141,8 @@ def _word_chunks(code):
     if isinstance(code, Codebook):
         return _slices(np.array(code.words, dtype=np.int64))
     G = np.array(code.G, dtype=np.int64).reshape(code.k, code.n)
-    return (_batch.product(code.field, xs, G)
-            for xs in _batch.vector_chunks(code.field.order, code.k))
+    return map(_batch.times(code.field, G),
+               _batch.vector_chunks(code.field.order, code.k))
 
 
 def _class_chunks(code):
@@ -152,8 +152,9 @@ def _class_chunks(code):
     F = code.field
     G = np.array(code.G, dtype=np.int64).reshape(code.k, code.n)
     for j in range(code.k):
+        times = _batch.times(F, G[j + 1:])
         for xs in _batch.vector_chunks(F.order, code.k - j - 1):
-            yield _batch.add(F, _batch.product(F, xs, G[j + 1:]), G[j])
+            yield _batch.add(F, times(xs), G[j])
 
 
 def _weight_distribution(code, weights):
@@ -250,33 +251,49 @@ def covering_radius(code):
     """max over the ambient space of the rank distance to the code, exact.
 
     Grows the rank ball around the code shell by shell (_batch.shell) in one
-    boolean mask; the first rho that fills it is the radius, else min(m, n).
-    A linear code marks the syndromes of the shell (every coset then has a
+    boolean mask; the first rho that fills it is the radius, else top.  A
+    linear code marks the syndromes of the shell (every coset then has a
     leader of rank <= rho), a codebook the translates c + x of the shell
-    around its codewords c.  Guarded by the ambient size q^{mn}.
+    around its codewords c.
+
+    For a codebook top = min(m, n), and the ambient size q^{mn} is guarded.
+    For a linear code top = min(m, n - k): the n - k columns of H that form
+    an invertible submatrix give every syndrome a leader of Hamming weight,
+    so of rank, at most n - k.  Its guards are the syndrome space
+    q^{m(n-k)} and, before each shell is generated, the shell size.
     """
     F, n = code.field, code.n
-    ambient = F.order ** n
-    if ambient > rankgeom.BRUTE_GUARD:
-        raise ValueError(f"ambient size {ambient} exceeds guard")
-    if isinstance(code, LinearCode):  # at k = n, HT is (n, 0): syndrome 0
+    if isinstance(code, LinearCode):
+        top = min(F.m, n - code.k)
+        syndromes = F.order ** (n - code.k)
+        if syndromes > rankgeom.BRUTE_GUARD:
+            raise ValueError(f"syndrome space {syndromes} exceeds guard")
+        hit = np.zeros(syndromes, dtype=bool)
         HT = np.array(dual(code).G, dtype=np.int64).reshape(n - code.k, n).T
-        hit = np.zeros(F.order ** HT.shape[1], dtype=bool)
+        times = _batch.times(F, HT)
 
         def reach(vectors):
-            return [_batch.pack(F.order, _batch.product(
-                F, _batch.unpack(F.order, vectors, n), HT))]
+            return [_batch.pack(F.order, times(vectors))]
     else:
+        top = min(F.m, n)
+        ambient = F.order ** n
+        if ambient > rankgeom.BRUTE_GUARD:
+            raise ValueError(f"ambient size {ambient} exceeds guard")
         hit = np.zeros(ambient, dtype=bool)
-        reach = functools.partial(_batch.balls, F,
-                                  centers=_batch.pack(F.order, code.words))
-    for rho in range(min(F.m, n)):
+        centers = _batch.pack(F.order, code.words)
+
+        def reach(vectors):
+            return _batch.balls(F, _batch.pack(F.order, vectors), centers)
+    for rho in range(top):
+        size = rankgeom.sphere_count(F.q, F.m, n, rho)
+        if size > rankgeom.BRUTE_GUARD:
+            raise ValueError(f"rank-{rho} shell size {size} exceeds guard")
         for vectors in _batch.shell(F, n, rho):
             for idx in reach(vectors):
                 hit[idx] = True
         if hit.all():
             return rho
-    return min(F.m, n)
+    return top
 
 
 # ---------------------------------------------------------------------------
@@ -373,11 +390,12 @@ def mrd_els_check(code):
     if n > F.m:
         raise ValueError("requires n <= m")
     chunks = rankgeom.subspaces(F.q, n, n - k)
-    HT = np.array(dual(code).G, dtype=np.int64).reshape(-1, n).T
+    times = _batch.times(
+        F, np.array(dual(code).G, dtype=np.int64).reshape(-1, n).T)
     return all(
         _linalg.rank_field(F, mat) == n - k
         for bases in chunks
-        for mat in _batch.product(F, bases.reshape(-1, n), HT).reshape(
+        for mat in times(bases.reshape(-1, n)).reshape(
             len(bases), n - k, n - k).tolist())
 
 

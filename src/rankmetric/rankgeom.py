@@ -142,11 +142,37 @@ def check_encodings(field, rows):
 
 def rank(field, vec):
     """Rank weight: GF(q)-rank of the m x n expansion of vec, or of its n
-    digit rows.  Raises ValueError for an entry outside [0, q^m)."""
+    digit rows.  Raises ValueError for an entry outside [0, q^m).
+
+    At q = 2 an encoding is the bitmask of its digit row, and the rows go
+    into an XOR basis with one row per leading bit.  At odd q one nonzero
+    row at a time clears its leading column from the others, mod q."""
     vec = tuple(int(x) for x in vec)  # tolerate numpy integers
     check_encodings(field, (vec,))
-    return _linalg.rank_field(make_field(field.q, 1),
-                              list(map(field.digits, vec)))
+    q = field.q
+    if q == 2:
+        basis = {}
+        for x in vec:
+            while x and x.bit_length() in basis:
+                x ^= basis[x.bit_length()]
+            if x:
+                basis[x.bit_length()] = x
+        return len(basis)
+    rows, out = [field.digits(x) for x in vec if x], 0
+    while rows:
+        row = rows.pop()
+        c = next(i for i, d in enumerate(row) if d)
+        inv = pow(row[c], -1, q)
+        reduced = []
+        for r in rows:
+            if r[c]:
+                f = r[c] * inv
+                r = [(a - f * b) % q for a, b in zip(r, row)]
+            if any(r):
+                reduced.append(r)
+        rows = reduced
+        out += 1
+    return out
 
 
 def rank_distance(field, u, v):

@@ -440,14 +440,15 @@ def test_code_of_length_zero(run, tmp_path):
 
 
 def test_code_radius_past_the_guard_is_skipped(run, tmp_path):
-    # GF(2^9)^3 has 2^27 > 2^24 vectors: the distribution of the one-class
-    # code is reported, its covering radius skipped, and the exit is 0
+    # the (4, 1) code over GF(2^9) has 2^27 > 2^24 syndromes: the
+    # distribution of the one-class code is reported, its covering radius
+    # skipped, and the exit is 0
     path = tmp_path / "big.code"
-    path.write_text("2 9 3 1\n1 2 4\n")
-    reason = f"ambient size {2 ** 27} exceeds guard"
+    path.write_text("2 9 4 1\n1 2 4 8\n")
+    reason = f"syndrome space {2 ** 27} exceeds guard"
     rc, out, err = run("code", "--file", str(path), "--radius")
     assert (rc, err) == (0, "")
-    assert out.endswith("rank distribution: (1, 0, 0, 511)\n"
+    assert out.endswith("rank distribution: (1, 0, 0, 0, 511)\n"
                         f"covering radius: skipped ({reason})\n")
     rc, out, err = run("code", "--file", str(path), "--radius",
                        "--format", "json")
@@ -455,7 +456,26 @@ def test_code_radius_past_the_guard_is_skipped(run, tmp_path):
     assert (rc, err) == (0, "")
     assert payload["covering_radius"] is None
     assert payload["covering_radius_skipped"] == reason
-    assert payload["rank_distribution"] == [1, 0, 0, 511]
+    assert payload["rank_distribution"] == [1, 0, 0, 0, 511]
+
+
+def test_code_radius_past_the_ambient_guard_answers(run, tmp_path):
+    # GF(2^5)^5 has 2^25 > 2^24 vectors, but this Table 2 witness has 2^15
+    # syndromes and reads only the shells 0..2, all within the guard
+    path = tmp_path / "witness.code"
+    path.write_text("2 5 5 2\n28 29 28 12 11\n30 11 6 28 19\n")
+    rc, out, err = run("code", "--file", str(path), "--radius")
+    assert (rc, err) == (0, "")
+    assert out == ("(n, k) = (5, 2) over GF(2^5), size 1024\n"
+                   "min rank distance: 2\n"
+                   "rank distribution: (1, 0, 31, 62, 558, 372)\n"
+                   "covering radius: 2\n")
+    rc, out, err = run("code", "--file", str(path), "--radius",
+                       "--format", "json")
+    payload = json.loads(out)
+    assert (rc, err) == (0, "")
+    assert payload["covering_radius"] == 2
+    assert "covering_radius_skipped" not in payload
 
 
 @pytest.mark.parametrize("argv", [

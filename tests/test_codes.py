@@ -226,10 +226,14 @@ def test_code_scans_read_the_rankgeom_guard(monkeypatch):
     with pytest.raises(ValueError,
                        match="^scalar class count 9 exceeds guard$"):
         cd.rank_distribution(C)
-    for scan in (cd.codewords, cd.covering_radius, cd.transpose_code,
-                 cd.array_view):
+    for scan in (cd.codewords, cd.transpose_code, cd.array_view):
         with pytest.raises(ValueError, match="exceeds guard$"):
             list(scan(C))
+    # the covering radius of a linear code marks its q^{m(n-k)} = 8 syndromes
+    assert cd.covering_radius(C) == 1
+    monkeypatch.setattr(rg, "BRUTE_GUARD", 7)
+    with pytest.raises(ValueError, match="^syndrome space 8 exceeds guard$"):
+        cd.covering_radius(C)
 
 
 def test_min_distance_nonlinear_pairs():
@@ -413,18 +417,19 @@ def test_covering_radius_reads_shells_in_chunks(monkeypatch):
     codes += [cd.make_codebook(F, cd.codewords(C)) for C in codes]
     expected = [cd.covering_radius(C) for C in codes]
     assert expected[2] == 1
-    builder, unpacker = _batch.balls, _batch.unpack
+    builder, shell = _batch.balls, _batch.shell
 
     def bounded_balls(field, offsets, centers):
         assert 1 <= len(offsets) <= 64
         return builder(field, offsets, centers)
 
-    def bounded_unpack(order, packed, n):
-        assert 1 <= len(packed) <= 64
-        return unpacker(order, packed, n)
+    def bounded_shell(field, n, r):
+        for rows in shell(field, n, r):
+            assert 1 <= len(rows) <= 64
+            yield rows
     monkeypatch.setattr(_batch, "CHUNK", 64)
     monkeypatch.setattr(_batch, "balls", bounded_balls)
-    monkeypatch.setattr(_batch, "unpack", bounded_unpack)
+    monkeypatch.setattr(_batch, "shell", bounded_shell)
     assert [cd.covering_radius(C) for C in codes] == expected
 
 
@@ -438,8 +443,68 @@ def test_covering_radius_of_length_zero(q):
 
 def test_covering_radius_guard():
     F = make_field(2, 20)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^syndrome space {2 ** 40} exceeds"):
         cd.covering_radius(cd.make_zero_code(F, 2))
+    with pytest.raises(ValueError, match=f"^ambient size {2 ** 40} exceeds"):
+        cd.covering_radius(cd.make_codebook(F, [(0, 0)]))
+
+
+def test_covering_radius_shell_guard(monkeypatch):
+    """A (4, 1) code over GF(2^3) has 2^9 syndromes, but its rank-2 shell
+    holds [4 2]_2 (8 - 1)(8 - 2) = 1470 vectors; the radius is at least 2,
+    as the rank-1 ball of 106 vectors reaches fewer than 512 syndromes."""
+    F = make_field(2, 3)
+    C = random_linear_codes(F, 4, 1, 1, seed=5)[0]
+    assert rg.ball_counts(2, 3, 4, 1)[1] < 2 ** 9
+    assert rg.sphere_count(2, 3, 4, 2) == 1470
+    monkeypatch.setattr(rg, "BRUTE_GUARD", 2 ** 9)
+    with pytest.raises(ValueError, match="^rank-2 shell size 1470 exceeds"):
+        cd.covering_radius(C)
+    monkeypatch.setattr(rg, "BRUTE_GUARD", 1470)
+    assert cd.covering_radius(C) == brute_covering_radius(C) == 2
+
+
+@pytest.mark.parametrize("m,n,k", [(5, 4, 1), (5, 4, 2), (3, 3, 1)])
+def test_covering_radius_stops_below_the_redundancy(monkeypatch, m, n, k):
+    """An MRD code has radius n - k, the redundancy bound, which is then
+    returned without generating the rank-(n - k) shell."""
+    F = make_field(2, m)
+    C = cd.gabidulin(F, F.polynomial_basis()[:n], k)
+    asked, shell = [], _batch.shell
+
+    def recording_shell(field, length, r):
+        asked.append(r)
+        return shell(field, length, r)
+    monkeypatch.setattr(_batch, "shell", recording_shell)
+    assert cd.covering_radius(C) == n - k
+    assert asked == list(range(n - k))
+
+
+def _agreeing_codes():
+    F4, F8, F9 = make_field(2, 2), make_field(2, 3), make_field(3, 2)
+    return {
+        "mrd-8-3-1": cd.gabidulin(F8, F8.polynomial_basis(), 1),
+        "mrd-8-3-2": cd.gabidulin(F8, F8.polynomial_basis(), 2),
+        "random-4-3-1": random_linear_codes(F4, 3, 1, 1, seed=2)[0],
+        "random-4-3-2": random_linear_codes(F4, 3, 2, 1, seed=2)[0],
+        "random-9-2-1": random_linear_codes(F9, 2, 1, 1, seed=2)[0],
+        "full-4-3": cd.make_code(F4, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+        "full-9-2": cd.make_code(F9, [(1, 4), (0, 1)]),
+        "zero-4-3": cd.make_zero_code(F4, 3),
+        "zero-8-2": cd.make_zero_code(F8, 2),
+        "zero-9-2": cd.make_zero_code(F9, 2),
+    }
+
+
+@pytest.mark.parametrize("name", list(_agreeing_codes()))
+def test_covering_radius_linear_codebook_and_brute_agree(name):
+    """The syndrome walk stopped at min(m, n - k), the translate walk of the
+    same words up to min(m, n), and the direct double loop agree."""
+    C = _agreeing_codes()[name]
+    rho = cd.covering_radius(C)
+    assert cd.covering_radius(cd.make_codebook(C.field, cd.codewords(C))) \
+        == brute_covering_radius(C) == rho
+    assert rho <= min(C.field.m, C.n - C.k)
 
 
 # ---------------------------------------------------------------------------

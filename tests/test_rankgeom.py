@@ -617,16 +617,32 @@ def test_batch_add_sub_refuse_negative_encodings():
     assert proc.stdout == "negative encoding\n" * 6 + f"[9, {3 ** 30 + 1}]\n"
 
 
+@pytest.mark.parametrize("q,m,n", [(2, 5, 4), (2, 3, 6), (2, 8, 8),
+                                   (3, 4, 4), (3, 2, 5), (5, 3, 3),
+                                   (5, 2, 4)])
+def test_scalar_rank_matches_field_elimination(q, m, n):
+    """rank, on integer rows, equals the field elimination of the m x n
+    expansion on the zero vector and 500 random vectors, n > m included."""
+    F, F1 = make_field(q, m), make_field(q, 1)
+    rng = np.random.default_rng(q * 100 + m * 10 + n)
+    vectors = [(0,) * n] + rng.integers(0, F.order, size=(500, n)).tolist()
+    got = [rg.rank(F, v) for v in vectors]
+    assert got == [_linalg.rank_field(F1, [list(r) for r in F.expand(v)])
+                   for v in vectors]
+    assert got[0] == 0 and max(got) == min(m, n)
+
+
 def check_shells(q, m, n):
     """_batch.shell(F, n, r) for r = 0..min(m, n) yields every vector of
-    GF(q^m)^n once, in chunks of 1 to CHUNK, each in the shell of its
-    scalar rank."""
+    GF(q^m)^n once, in (N, n) chunks with N from 1 to CHUNK, each in the
+    shell of its scalar rank."""
     F = make_field(q, m)
     shell_of = np.full(F.order ** n, -1)
     count = np.zeros(F.order ** n, dtype=np.int64)
     for r in range(min(m, n) + 1):
-        for part in _batch.shell(F, n, r):
-            assert 1 <= len(part) <= _batch.CHUNK
+        for rows in _batch.shell(F, n, r):
+            assert rows.shape[1] == n and 1 <= len(rows) <= _batch.CHUNK
+            part = _batch.pack(F.order, rows)
             np.add.at(count, part, 1)
             shell_of[part] = r
     assert (count == 1).all()
@@ -658,9 +674,10 @@ def test_vector_chunks_of_packed_encodings():
     F = make_field(3, 2)
     G = np.array([[1, 2], [0, 5], [7, 1]])
     xs = np.concatenate(list(_batch.vector_chunks(F.order, 3)))
-    full = _batch.product(F, xs, G)
+    times = _batch.times(F, G)
+    full = times(xs)
     packed = np.array([0, 5, 80, 400, 728])
-    got = _batch.product(F, _batch.unpack(F.order, packed, 3), G)
+    got = times(_batch.unpack(F.order, packed, 3))
     assert (got == full[packed]).all()
     assert got.tolist() == [list(_linalg.lincomb(F, x, G.tolist(), 2))
                             for x in xs[packed].tolist()]
