@@ -12,16 +12,18 @@ rate formulas.
 
 Everything is exact integer/rational arithmetic except the two bounds that
 are genuinely transcendental (D and E are floors of logarithmic terms);
-those are certified with mpmath.iv intervals at a precision scaled to the
-operand sizes, falling back to exact powers (D) or more digits (E) when an
-interval straddles an integer.
+those are certified by mpmath.libmp steps rounded outward as mpmath.iv
+rounds them, down for the low end and up for the high one, at a precision
+in bits scaled to the operands that doubles while the floor is ambiguous.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
 
-from mpmath import iv, libmp
+from mpmath.libmp import (fone, from_int, mpf_add, mpf_div, mpf_log, mpf_mul,
+                          mpf_sign, mpf_sub, round_ceiling as CEIL,
+                          round_floor as FLOOR, to_int)
 
 from .rankgeom import ball_counts, gaussian
 
@@ -173,49 +175,47 @@ def _split_gains(m, n):
     return tuple(None if g < 0 else g for g in best[n])
 
 
-def _working_dps(Q):
-    return 60 + 2 * len(str(Q))
+def _t_floors(Q, W, prec):
+    """Floors of the certified ends of t = lnQ/(lnQ - lnW); None if inf."""
+    (q_lo, q_hi), (w_lo, w_hi) = (
+        [mpf_log(from_int(x), prec, r) for r in (FLOOR, CEIL)] for x in (Q, W))
+    lo = mpf_div(q_lo, mpf_sub(q_hi, w_lo, prec, CEIL), prec, FLOOR)
+    den = mpf_sub(q_lo, w_hi, prec, FLOOR)
+    hi = mpf_div(q_hi, den, prec, CEIL) if mpf_sign(den) > 0 else None
+    return to_int(lo, FLOOR), None if hi is None else to_int(hi, FLOOR)
 
 
-def _interval_floors(expr, dps):
-    """Floors of both ends of the mpmath.iv interval expr() at dps digits."""
-    saved, iv.dps = iv.dps, dps
-    try:
-        ends = expr()._mpi_
-    finally:
-        iv.dps = saved
-    return tuple(libmp.to_int(e, libmp.round_floor) for e in ends)
-
-
-def _probabilistic_bound(q, m, n, V):
+def _probabilistic_bound(q, m, n, V, prec=None):
     """Smallest K with (Q-V)^K < Q^{K-1}: floor(t) + 1 for t = lnQ/(lnQ -
-    ln(Q-V)), read off an outward-rounded interval for t; exact powers
-    decide when the interval straddles an integer, as it must if t is one."""
+    lnW), W = Q-V, certified from prec bits (2 log2 Q + 64 by default: the
+    denominator cancels).  An integer t has W^t = Q^{t-1}, so t | e*m*n for
+    q = p^e, below log2 Q; exact powers decide a straddle of one."""
     Q = q ** (m * n)
     W = Q - V
     if W < 1:
         raise ValueError("ball covers the whole space")
-    lo, hi = _interval_floors(
-        lambda: 1 / (1 - iv.log(iv.mpf(W)) / iv.log(iv.mpf(Q))),
-        _working_dps(Q))
-    K = lo + 1
-    if lo != hi:
-        while W ** K >= Q ** (K - 1):
-            K += 1
-    return K
-
-
-def _jsl_bound(q, m, n, V):
-    """floor((Q/V)(1 + ln V)), certified by an interval; ln V is
-    transcendental for V > 1, so doubling the precision ends the loop."""
-    Q = q ** (m * n)
-    dps = _working_dps(Q)
+    prec = prec or 2 * Q.bit_length() + 64
     while True:
-        lo, hi = _interval_floors(
-            lambda: iv.mpf(Q) / iv.mpf(V) * (1 + iv.log(iv.mpf(V))), dps)
+        lo, hi = _t_floors(Q, W, prec)
+        if lo == hi:
+            return lo + 1
+        if hi == lo + 1 and hi < Q.bit_length():
+            return hi if W ** hi < Q ** (hi - 1) else hi + 1
+        prec *= 2
+
+
+def _jsl_bound(q, m, n, V, prec=None):
+    """floor((Q/V)(1 + ln V)), certified from prec bits (log2 Q + 64 by
+    default); ln V is transcendental for V > 1, so the doubling ends."""
+    Q = q ** (m * n)
+    prec = prec or Q.bit_length() + 64
+    Q, V = from_int(Q), from_int(V)
+    while True:
+        lo, hi = (to_int(mpf_div(mpf_mul(Q, mpf_add(fone, mpf_log(
+            V, prec, r), prec, r)), V, prec, r), FLOOR) for r in (FLOOR, CEIL))
         if lo == hi:
             return lo
-        dps *= 2
+        prec *= 2
 
 
 # ---------------------------------------------------------------------------

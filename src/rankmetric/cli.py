@@ -201,7 +201,7 @@ def cmd_code(args):
         try:
             radius = payload["covering_radius"] = cd.covering_radius(code)
             lines.append(f"covering radius: {radius}")
-        except ValueError as exc:  # guard trip: report and continue
+        except rg.GuardExceeded as exc:  # report and continue
             payload["covering_radius"] = None
             payload["covering_radius_skipped"] = str(exc)
             lines.append(f"covering radius: skipped ({exc})")

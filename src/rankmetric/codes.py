@@ -124,7 +124,8 @@ def codewords(code):
         yield from code.words
         return
     if code.size > rankgeom.BRUTE_GUARD:
-        raise ValueError(f"codebook size {code.size} exceeds guard")
+        raise rankgeom.GuardExceeded(
+            f"codebook size {code.size} exceeds guard")
     for words in _word_chunks(code):
         yield from map(tuple, words.tolist())
 
@@ -166,7 +167,7 @@ def _weight_distribution(code, weights):
     count = (code.size - 1) // (F.order - 1) if linear else code.size
     if count > rankgeom.BRUTE_GUARD:
         what = "scalar class count" if linear else "codebook size"
-        raise ValueError(f"{what} {count} exceeds guard")
+        raise rankgeom.GuardExceeded(f"{what} {count} exceeds guard")
     counts = np.zeros(n + 1, dtype=np.int64)
     for words in (_class_chunks if linear else _word_chunks)(code):
         counts += np.bincount(weights(F, words), minlength=n + 1)
@@ -267,7 +268,8 @@ def covering_radius(code):
         top = min(F.m, n - code.k)
         syndromes = F.order ** (n - code.k)
         if syndromes > rankgeom.BRUTE_GUARD:
-            raise ValueError(f"syndrome space {syndromes} exceeds guard")
+            raise rankgeom.GuardExceeded(
+                f"syndrome space {syndromes} exceeds guard")
         hit = np.zeros(syndromes, dtype=bool)
         HT = np.array(dual(code).G, dtype=np.int64).reshape(n - code.k, n).T
         times = _batch.times(F, HT)
@@ -278,7 +280,8 @@ def covering_radius(code):
         top = min(F.m, n)
         ambient = F.order ** n
         if ambient > rankgeom.BRUTE_GUARD:
-            raise ValueError(f"ambient size {ambient} exceeds guard")
+            raise rankgeom.GuardExceeded(
+                f"ambient size {ambient} exceeds guard")
         hit = np.zeros(ambient, dtype=bool)
         centers = _batch.pack(F.order, code.words)
 
@@ -287,7 +290,8 @@ def covering_radius(code):
     for rho in range(top):
         size = rankgeom.sphere_count(F.q, F.m, n, rho)
         if size > rankgeom.BRUTE_GUARD:
-            raise ValueError(f"rank-{rho} shell size {size} exceeds guard")
+            raise rankgeom.GuardExceeded(
+                f"rank-{rho} shell size {size} exceeds guard")
         for vectors in _batch.shell(F, n, rho):
             for idx in reach(vectors):
                 hit[idx] = True
@@ -343,7 +347,7 @@ def transpose_code(code):
     """
     F, n = code.field, code.n
     if F.order ** n > rankgeom.BRUTE_GUARD:
-        raise ValueError("ambient exceeds guard")
+        raise rankgeom.GuardExceeded("ambient exceeds guard")
     digits = _batch.digits_table(F)
     words = []
     for chunk in _word_chunks(code):
@@ -405,7 +409,8 @@ def array_view(code, basis=None):
     if basis is not None and not F.is_basis(basis):
         raise ValueError("dependent basis")
     if code.size > rankgeom.BRUTE_GUARD:
-        raise ValueError(f"codebook size {code.size} exceeds guard")
+        raise rankgeom.GuardExceeded(
+            f"codebook size {code.size} exceeds guard")
     return [F.expand(w, basis=basis) for w in codewords(code)]
 
 

@@ -28,6 +28,10 @@ class NoClosedFormError(ValueError):
     """Raised when no proved closed form covers the requested configuration."""
 
 
+class GuardExceeded(ValueError):
+    """Raised when an enumeration would pass its size guard (BRUTE_GUARD)."""
+
+
 # ---------------------------------------------------------------------------
 # combinatorial kernels
 # ---------------------------------------------------------------------------
@@ -249,7 +253,7 @@ def subspaces(q, n, v):
         raise ValueError(f"dimension {v} outside [0, {n}]")
     count = gaussian(n, v, q)
     if count > BRUTE_GUARD:
-        raise ValueError(f"ELS count {count} exceeds guard {BRUTE_GUARD}")
+        raise GuardExceeded(f"ELS count {count} exceeds guard {BRUTE_GUARD}")
     return _batch.subspace_chunks(q, n, v)
 
 
@@ -330,7 +334,8 @@ def intersection_volume_closed(q, m, n, r1, r2, dist):
 def enumerate_vectors(field, n):
     total = field.order ** n
     if total > BRUTE_GUARD:
-        raise ValueError(f"ambient size {total} exceeds guard {BRUTE_GUARD}")
+        raise GuardExceeded(
+            f"ambient size {total} exceeds guard {BRUTE_GUARD}")
     return itertools.product(field.elements(), repeat=n)
 
 

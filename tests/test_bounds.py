@@ -8,11 +8,17 @@ Letter ties (equal bound values under different tags) are asserted as
 value-ties rather than letter matches, since the source table breaks ties
 inconsistently.
 """
+import ast
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
-from mpmath import iv, mp
+from mpmath import iv, libmp, mp
 
+import rankmetric
 from rankmetric import bounds as bd
 from rankmetric.rankgeom import ball_counts, gaussian, tau_q
 
@@ -178,19 +184,21 @@ def test_upper_bounds_worked_examples():
 
 
 def test_probabilistic_bound_against_exact_scan():
-    # independent oracle: direct smallest-K scan with exact integer powers
-    for q, m, n, rho in ((2, 2, 2, 1), (2, 3, 3, 1), (2, 3, 3, 2),
-                         (2, 4, 3, 2), (2, 4, 4, 3), (2, 3, 2, 1),
-                         (3, 2, 2, 1), (3, 3, 2, 1), (3, 3, 3, 2),
-                         (3, 4, 3, 2), (3, 4, 4, 3)):
+    # independent oracle: direct smallest-K scan with exact integer powers;
+    # from 3 or 8 bits the intervals also straddle non-integer t
+    cells = ((2, 2, 2, 1), (2, 3, 3, 1), (2, 3, 3, 2), (2, 4, 3, 2),
+             (2, 4, 4, 3), (2, 3, 2, 1), (3, 2, 2, 1), (3, 3, 2, 1),
+             (3, 3, 3, 2), (3, 4, 3, 2), (3, 4, 4, 3))
+    for (q, m, n, rho), prec in itertools.product(cells, (None, 3, 8)):
         _, v = ball_counts(q, m, n, rho)
-        got = bd._probabilistic_bound(q, m, n, v)
+        got = bd._probabilistic_bound(q, m, n, v, prec=prec)
         Q, W = q ** (m * n), q ** (m * n) - v
         K = 2
         while W ** K >= Q ** (K - 1):
             K += 1
-        assert got == K, (q, m, n, rho)
-    assert bd._probabilistic_bound(2, 2, 1, 3) == 2   # W = 1
+        assert got == K, (q, m, n, rho, prec)
+    for prec in (None, 3, 8):   # W = 1
+        assert bd._probabilistic_bound(2, 2, 1, 3, prec=prec) == 2
 
 
 @pytest.mark.parametrize("q,m,n,V,want", [
@@ -198,27 +206,40 @@ def test_probabilistic_bound_against_exact_scan():
     (2, 4, 1, 8, 5),     # Q=16, W=8: t = 4
     (2, 3, 2, 56, 3),    # Q=64, W=8: t = 2
     (3, 2, 2, 72, 3),    # Q=81, W=9: t = 2
+    (4, 1, 1, 2, 3),     # Q=4, W=2: t = 2 divides e*m*n = 2, not m*n
+    (4, 3, 1, 32, 7),    # Q=2^6, W=2^5: t = 6 = e*m*n, the largest
 ])
-def test_probabilistic_bound_integer_t(q, m, n, V, want):
+def test_probabilistic_bound_integer_t(monkeypatch, q, m, n, V, want):
     # t = lnQ/(lnQ - lnW) is an integer here, so its interval straddles
-    # at the working precision and the exact power walk decides
+    # at the start precision and the exact powers decide
     Q, W = q ** (m * n), q ** (m * n) - V
-    t = lambda: 1 / (1 - iv.log(iv.mpf(W)) / iv.log(iv.mpf(Q)))
-    assert bd._interval_floors(t, bd._working_dps(Q)) == (want - 2, want - 1)
+    ends, floors = [], bd._t_floors
+
+    def recorded(Q, W, prec):
+        ends.append(floors(Q, W, prec))
+        return ends[-1]
+    monkeypatch.setattr(bd, "_t_floors", recorded)
     assert bd._probabilistic_bound(q, m, n, V) == want
+    assert ends == [(want - 2, want - 1)]
+
+
+def _mp_floor(x, dps=600):
+    """floor(x()) with plain (not interval) mpmath at dps digits."""
+    with mp.workdps(dps):
+        return int(mp.floor(x()))
 
 
 def test_jsl_bound_against_high_precision_floor():
-    # independent oracle: plain mpmath floor at 4x the working precision
+    # independent oracle: plain mpmath floor at a fixed 600 digits, over
+    # twice the 230 or so that Q <= 5^16 needs
     for q, top in ((2, 7), (3, 5), (5, 4)):
         for m in range(2, top + 1):
             for n in range(2, m + 1):
                 for rho in range(1, n):
                     _, v = ball_counts(q, m, n, rho)
                     Q = q ** (m * n)
-                    with mp.workdps(4 * bd._working_dps(Q)):
-                        want = int(mp.floor(mp.mpf(Q) / v
-                                            * (1 + mp.log(v))))
+                    want = _mp_floor(
+                        lambda: mp.mpf(Q) / v * (1 + mp.log(v)))
                     assert bd._jsl_bound(q, m, n, v) == want, \
                         (q, m, n, rho)
 
@@ -227,22 +248,85 @@ def test_jsl_bound_against_high_precision_floor():
     (2, 10, 9, 3), (2, 16, 16, 8), (2, 7, 5, 2), (3, 6, 4, 2), (3, 5, 5, 1),
     (5, 4, 4, 1)])
 def test_jsl_bound_doubles_a_straddling_precision(monkeypatch, q, m, n, rho):
-    # at the working precision the interval never straddles an integer on
-    # the tables' grids, so the doubling only runs from a start of 3 digits
+    # at the start precision the interval never straddles an integer on
+    # the tables' grids, so the doubling only runs from a start of 3 bits;
+    # each precision takes ln V twice, rounded down and up
     _, v = ball_counts(q, m, n, rho)
     Q = q ** (m * n)
-    with mp.workdps(600):
-        want = int(mp.floor(mp.mpf(Q) / v * (1 + mp.log(v))))
-    tried, floors = [], bd._interval_floors
+    want = _mp_floor(lambda: mp.mpf(Q) / v * (1 + mp.log(v)))
+    tried, log = [], bd.mpf_log
 
-    def recorded(expr, dps):
-        tried.append(dps)
-        return floors(expr, dps)
-    monkeypatch.setattr(bd, "_working_dps", lambda Q: 3)
-    monkeypatch.setattr(bd, "_interval_floors", recorded)
-    assert bd._jsl_bound(q, m, n, v) == want
-    assert tried[:2] == [3, 6]
+    def recorded(x, prec, rnd):
+        tried.append(prec)
+        return log(x, prec, rnd)
+    monkeypatch.setattr(bd, "mpf_log", recorded)
+    assert bd._jsl_bound(q, m, n, v, prec=3) == want
+    assert tried[::2] == tried[1::2]
+    assert tried[::2][:2] == [3, 6]
+    assert tried[::2] == [3 * 2 ** i for i in range(len(tried) // 2)]
+
+
+@pytest.mark.parametrize("q,m,n,rho", [(2, 10, 9, 3), (2, 16, 16, 8)])
+def test_probabilistic_bound_doubles_from_a_tiny_precision(q, m, n, rho):
+    # from 3 bits the interval for t is unbounded, then straddles; with
+    # t near 10^14 an exact power walk from the low end would never end,
+    # so this runs in a subprocess under a timeout
+    _, v = ball_counts(q, m, n, rho)
+    Q, W = q ** (m * n), q ** (m * n) - v
+    want = _mp_floor(lambda: mp.log(Q) / (mp.log(Q) - mp.log(W))) + 1
+    code = ("from rankmetric import bounds as bd\n"
+            "tried, floors = [], bd._t_floors\n"
+            "def recorded(Q, W, prec):\n"
+            "    tried.append(prec)\n"
+            "    return floors(Q, W, prec)\n"
+            "bd._t_floors = recorded\n"
+            f"print(bd._probabilistic_bound({q}, {m}, {n}, {v}, prec=3))\n"
+            "print(tried)\n")
+    src = Path(rankmetric.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=20)
+    got, tried = proc.stdout.splitlines()
+    assert int(got) == want
+    tried = ast.literal_eval(tried)
     assert tried == [3 * 2 ** i for i in range(len(tried))]
+    assert len(tried) > 1
+
+
+def _iv_reference(q, m, n, V):
+    """D and E as the bounds layer computed them with mpmath.iv intervals
+    at 60 + 2*digits(Q) decimal digits, before it called mpmath.libmp."""
+    Q = q ** (m * n)
+    W = Q - V
+    saved, iv.dps = iv.dps, 60 + 2 * len(str(Q))
+    try:
+        t = 1 / (1 - iv.log(iv.mpf(W)) / iv.log(iv.mpf(Q)))
+        e = iv.mpf(Q) / iv.mpf(V) * (1 + iv.log(iv.mpf(V)))
+    finally:
+        iv.dps = saved
+    (t_lo, t_hi), (e_lo, e_hi) = (
+        [libmp.to_int(end, libmp.round_floor) for end in x._mpi_]
+        for x in (t, e))
+    assert e_lo == e_hi and t_hi - t_lo <= 1
+    K = t_lo + 1
+    if t_lo != t_hi:   # a straddle: the exact powers decide
+        while W ** K >= Q ** (K - 1):
+            K += 1
+    return K, e_lo
+
+
+@pytest.mark.parametrize("q,ms", [
+    (4, range(2, 9)), (5, range(2, 9)), (2, range(17, 21))])
+def test_certified_bounds_against_interval_reference(q, ms):
+    # grids outside the golden table1 files: q = 4 (q = p^e, e > 1), q = 5
+    # and q = 2 past m = 16
+    for m in ms:
+        for n in range(2, m + 1):
+            for rho in range(1, n):
+                _, v = ball_counts(q, m, n, rho)
+                got = (bd._probabilistic_bound(q, m, n, v),
+                       bd._jsl_bound(q, m, n, v))
+                assert got == _iv_reference(q, m, n, v), (q, m, n, rho)
 
 
 def test_probabilistic_bound_refuses_a_covering_ball():

@@ -459,6 +459,27 @@ def test_code_radius_past_the_guard_is_skipped(run, tmp_path):
     assert payload["rank_distribution"] == [1, 0, 0, 0, 511]
 
 
+def test_code_radius_reports_only_guard_trips(run, tmp_path, monkeypatch):
+    # any other ValueError from covering_radius is a fault, not a skip:
+    # it ends in the usual error line and exit 1
+    path = tmp_path / "small.code"
+    path.write_text("2 3 2 1\n1 2\n")
+
+    def broken(code):
+        raise ValueError("internal fault")
+    monkeypatch.setattr(cd, "covering_radius", broken)
+    assert run("code", "--file", str(path), "--radius") \
+        == (1, "", "error: internal fault\n")
+
+    def guarded(code):
+        raise rg.GuardExceeded("ambient size 99 exceeds guard")
+    monkeypatch.setattr(cd, "covering_radius", guarded)
+    rc, out, err = run("code", "--file", str(path), "--radius")
+    assert (rc, err) == (0, "")
+    assert out.endswith(
+        "covering radius: skipped (ambient size 99 exceeds guard)\n")
+
+
 def test_code_radius_past_the_ambient_guard_answers(run, tmp_path):
     # GF(2^5)^5 has 2^25 > 2^24 vectors, but this Table 2 witness has 2^15
     # syndromes and reads only the shells 0..2, all within the guard
