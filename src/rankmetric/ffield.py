@@ -16,6 +16,11 @@ coefficient tuple (c_0, ..., c_m), read as a base-q integer, is smallest.
 Irreducibility is certified by trial division against every monic polynomial
 of degree 1..m/2.
 
+The tables come from a doubling walk from the smallest primitive encoding g:
+g^B..g^(2B-1) are g^0..g^(B-1) times c = g^B, and x -> c*x is GF(q)-linear,
+so one product with the matrix of the m products c*alpha^t maps a block of
+digit rows.  The log table is one scatter.
+
 Linear algebra over the base field (bases, coordinates, dual bases) runs the
 one elimination of _linalg over GF(q) taken as the field GF(q^1).
 """
@@ -24,6 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 
+import numpy as np
 from mpmath.libmp import isprime
 
 from . import _linalg
@@ -153,19 +159,30 @@ class Field:
     # -- construction helpers ------------------------------------------------
 
     def _build_tables(self):
-        order = self.order
-        # g is primitive iff g^((order-1)/p) != 1 for every prime p | order-1;
-        # the first such g is the generator, then one walk fills the tables
+        """exp[i] = g^i and log inverting it, by the doubling walk: row t of
+        lin holds the digits of g^B * alpha^t, and squaring lin doubles B.
+        Digits are float32 so each product is one BLAS call, exact: sums
+        are at most m(q-1)^2 <= 96 and encodings below 2^16."""
+        q, m, order = self.q, self.m, self.order
+        # g is primitive iff g^((order-1)/p) != 1 for every prime p | order-1
         cofactors = [(order - 1) // p for p in _prime_factors(order - 1)]
         g = next(g for g in range(1, order)
                  if all(self.pow(g, e) != 1 for e in cofactors))
-        exp = [1]
-        for _ in range(order - 2):
-            exp.append(self._mul_raw(g, exp[-1]))  # the short g drives the loop
-        log = [-1] * order
-        for i, v in enumerate(exp):
-            log[v] = i
-        self._exp, self._log, self.generator = exp, log, g
+        lin = np.array([self.digits(self._mul_raw(g, q ** t))
+                        for t in range(m)], dtype=np.float32)
+        rows = np.zeros((order - 1, m), dtype=np.float32)
+        rows[0, 0] = 1
+        b = 1
+        while b < order - 1:
+            k = min(b, order - 1 - b)
+            rows[b:b + k] = (rows[:k] @ lin).astype(np.uint8) % q
+            lin = lin @ lin % q
+            b *= 2
+        exp = (rows @ q ** np.arange(m, dtype=np.float32)).astype(np.int64)
+        del rows  # 4 MB at 2^16, which would add to the peak of the lists
+        log = np.full(order, -1)
+        log[exp] = np.arange(order - 1)
+        self._exp, self._log, self.generator = exp.tolist(), log.tolist(), g
 
     # -- encoding ------------------------------------------------------------
 
@@ -209,7 +226,11 @@ class Field:
         return a ^ b if self.q == 2 else self._digitwise(a, b, -1)
 
     def _mul_raw(self, a, b):
-        """Schoolbook polynomial multiplication with reduction by the modulus."""
+        """Schoolbook polynomial multiplication with reduction by the modulus.
+        A negative operand, which q = 2 would shift forever, raises."""
+        if a < 0 or b < 0:
+            raise ValueError(f"{min(a, b)} is not an element encoding of "
+                             f"GF({self.q}^{self.m})")
         if self.q == 2:
             r = 0
             while a:
@@ -236,6 +257,9 @@ class Field:
         return self.from_digits(prod[:m])
 
     def mul(self, a, b):
+        """a * b for encodings a, b in [0, q^m).  The table path checks
+        nothing, for speed, so make_field(3, 2).mul(-1, 1) is 8; without
+        tables a negative operand raises ValueError."""
         if self._log is not None:
             if a == 0 or b == 0:
                 return 0

@@ -360,6 +360,19 @@ def test_mixed_bound_against_split_enumeration():
                     == brute_gain(m, n, rho), (m, n, rho)
 
 
+def test_split_gains_one_dp_per_m():
+    # a DP row reads only the rows above it, so row n of the table to m is
+    # the row a DP to n alone ends with; a grid over n <= m <= 24 runs 23
+    for m in range(1, 13):
+        for n in range(1, m + 1):
+            assert bd._gain_rows(m, m)[n][:n + 1] == bd._gain_rows(m, n)[n]
+    bd._gain_rows.cache_clear()
+    for m in range(2, 25):
+        for n in range(2, m + 1):
+            bd._split_gains(m, n)
+    assert bd._gain_rows.cache_info().misses == 23
+
+
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Tests for GF(q^m) arithmetic, bases, traces, and expansions."""
 import functools
+import hashlib
 import itertools
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -341,3 +343,112 @@ def test_digitwise_add_sub_neg_stop_after_m_digits():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=20)
     assert proc.stdout == "8 8 4 0\n"
+
+
+def test_schoolbook_refuses_a_negative_operand():
+    # at q = 2 the schoolbook product once shifted a negative operand down
+    # forever, so this runs in a subprocess under a timeout; pow and inv
+    # above the table limit multiply through the same product
+    code = ("from rankmetric.ffield import make_field\n"
+            "for q, m in [(2, 17), (3, 11)]:\n"
+            "    F = make_field(q, m)\n"
+            "    for f in (lambda: F.mul(-1, 2), lambda: F.mul(2, -1),\n"
+            "              lambda: F.pow(-1, 3), lambda: F.inv(-1)):\n"
+            "        try:\n"
+            "            f()\n"
+            "        except ValueError as e:\n"
+            "            print(e)\n")
+    src = Path(rankmetric.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=20)
+    assert proc.stdout == (4 * "-1 is not an element encoding of GF(2^17)\n"
+                           + 4 * "-1 is not an element encoding of GF(3^11)\n")
+
+
+def scalar_pow(F, x, e):
+    """x^e by square-and-multiply on the schoolbook product alone."""
+    r = 1
+    while e:
+        if e & 1:
+            r = F._mul_raw(r, x)
+        x, e = F._mul_raw(x, x), e >> 1
+    return r
+
+
+def scalar_generator(F):
+    """The smallest encoding whose powers reach every nonzero element."""
+    n = F.order - 1
+    primes = [p for p in range(2, n + 1)
+              if n % p == 0 and all(p % d for d in range(2, p))]
+    return next(g for g in range(1, F.order)
+                if all(scalar_pow(F, g, n // p) != 1 for p in primes))
+
+
+def scalar_tables(F):
+    """The walk the tables were built by before the doubling walk:
+    exp[i+1] = g * exp[i], one schoolbook product at a time."""
+    g = scalar_generator(F)
+    exp = [1]
+    for _ in range(F.order - 2):
+        exp.append(F._mul_raw(g, exp[-1]))
+    log = [-1] * F.order
+    for i, v in enumerate(exp):
+        log[v] = i
+    return g, exp, log
+
+
+SMALL_TABLED = [(q, m) for q in (2, 3, 5) for m in range(1, 13)
+                if q ** m <= 4096]
+
+
+@pytest.mark.parametrize("q,m", SMALL_TABLED)
+def test_tables_match_scalar_walk(q, m):
+    F = make_field(q, m)
+    assert (F.generator, F._exp, F._log) == scalar_tables(F)
+
+
+@pytest.mark.parametrize("q,m", [(2, 16), (3, 8), (3, 10), (5, 6)])
+def test_tables_match_scalar_powers_at_sampled_indices(q, m):
+    F = make_field(q, m)
+    assert F.generator == scalar_generator(F)
+    assert len(F._exp) == F.order - 1 and len(F._log) == F.order
+    rng = random.Random(f"tables {q} {m}")
+    for i in [0, 1, F.order - 2] + rng.sample(range(F.order - 1), 200):
+        x = scalar_pow(F, F.generator, i)
+        assert F._exp[i] == x and F._log[x] == i, i
+    assert F._log[0] == -1
+
+
+def test_moduli_and_generators_pinned():
+    """Moduli and generators fix every encoding in code files and CLI
+    output; this hash was taken from the scalar-walk tables."""
+    fields = [make_field(q, m) for q in (2, 3, 5) for m in range(1, 17)
+              if q ** m <= 1 << 16]
+    lines = [f"{F.descriptor()} {F.generator}" for F in fields]
+    assert len(lines) == 32
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "d222f6a5b8cfb6132dffb9a50f0a6631d3337a9f44112daef24890b2bc31e1ef")
+
+
+def mobius(n):
+    out, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if n > 1 else out
+
+
+@pytest.mark.parametrize("q,top", [(2, 8), (3, 5), (5, 4)])
+def test_irreducible_counts_match_gauss_formula(q, top):
+    # (1/d) sum_{e | d} mu(e) q^(d/e) monic irreducibles of degree d
+    for d in range(1, top + 1):
+        want = sum(mobius(e) * q ** (d // e)
+                   for e in range(1, d + 1) if d % e == 0) // d
+        got = sum(is_irreducible((*lower, 1), q)
+                  for lower in itertools.product(range(q), repeat=d))
+        assert got == want, (q, d)
