@@ -361,16 +361,38 @@ def test_mixed_bound_against_split_enumeration():
 
 
 def test_split_gains_one_dp_per_m():
-    # a DP row reads only the rows above it, so row n of the table to m is
-    # the row a DP to n alone ends with; a grid over n <= m <= 24 runs 23
-    for m in range(1, 13):
-        for n in range(1, m + 1):
-            assert bd._gain_rows(m, m)[n][:n + 1] == bd._gain_rows(m, n)[n]
+    # a DP row reads only the rows above it, so the rows a table grows for
+    # one m answer every n, in any order of asking, as a DP to n alone does
+    def gains_alone(m, n):
+        best = [[-1] * (n + 1) for _ in range(n + 1)]
+        best[0][0] = 0
+        for used_n in range(1, n + 1):
+            for used_r in range(used_n + 1):
+                best[used_n][used_r] = max(
+                    (best[used_n - a][used_r - r] + r * (a - r)
+                     for a in range(1, used_n + 1)
+                     for r in range(min(a, used_r, m - a) + 1)
+                     if best[used_n - a][used_r - r] >= 0), default=-1)
+        return tuple(None if g < 0 else g for g in best[n])
+
+    bd._gain_rows.cache_clear()
+    for m in range(1, 21):
+        for n in [3, 1, m, m + 4, 2, m + 2]:
+            assert bd._split_gains(m, n) == gains_alone(m, n), (m, n)
     bd._gain_rows.cache_clear()
     for m in range(2, 25):
         for n in range(2, m + 1):
             bd._split_gains(m, n)
     assert bd._gain_rows.cache_info().misses == 23
+
+
+def test_split_gains_grows_only_to_the_n_asked():
+    # a narrow n under a large m costs what a DP to n alone costs
+    bd._gain_rows.cache_clear()
+    bd._split_gains(60, 3)
+    assert len(bd._gain_rows(60)) == 4
+    bd._split_gains(60, 5)
+    assert len(bd._gain_rows(60)) == 6
 
 
 # ---------------------------------------------------------------------------
