@@ -79,12 +79,14 @@ def _digitwise(q, a, b, sign):
 
 
 def add(field, a, b):
-    """Elementwise a + b on integer arrays of encodings (xor at q=2)."""
+    """Elementwise a + b digit by digit mod q (xor at q=2) on nonnegative
+    encodings of any size, elements or packed vectors: digits past m are
+    kept, so add(make_field(3, 2), [9], [0]) is [9]."""
     return a ^ b if field.q == 2 else _digitwise(field.q, a, b, 1)
 
 
 def sub(field, a, b):
-    """Elementwise a - b on integer arrays of encodings (xor at q=2)."""
+    """Elementwise a - b, digit by digit mod q, on the operands of add."""
     return a ^ b if field.q == 2 else _digitwise(field.q, a, b, -1)
 
 

@@ -55,9 +55,10 @@ def invert(field, mat):
 
 
 def lincomb(field, coeffs, rows, n):
-    """sum_i coeffs[i] * rows[i] over GF(q^m), as a tuple of n encodings."""
+    """sum_i coeffs[i] * rows[i] over GF(q^m), as a tuple of n encodings;
+    ValueError if coeffs and rows differ in length."""
     vec = [0] * n
-    for c, row in zip(coeffs, rows):
+    for c, row in zip(coeffs, rows, strict=True):
         if c:
             for j, b in enumerate(row):
                 if b:

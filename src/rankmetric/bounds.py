@@ -89,7 +89,7 @@ def covering_lower(q, m, n, rho):
        (a maximal 2rho+1-separated subcode double-counts at most W per word);
     c: the excess bound ceil(q^{mn} / (V_rho - (eps/delta) N_rho)),
        applicable iff eps > 0."""
-    _check_rho(n, rho)
+    _check_rho(q, n, rho)
     Q = q ** (m * n)
     N_rho, V_rho = ball_counts(q, m, n, rho)
     out = {"a": Q // V_rho + 1, "b": None, "c": None}
@@ -113,7 +113,7 @@ def excess_parameters(q, m, n, rho):
     (q^m - q^rho)([rho 1] - [n 1]) modulo q^rho [rho+1 1] -- the minimum
     excess any radius-1 ball centered at distance rho from the code must
     receive; delta = V_1 - q^{rho-1}[rho 1] - 1 + 2 eps."""
-    _check_rho(n, rho)
+    _check_rho(q, n, rho)
     modulus = q ** rho * gaussian(rho + 1, 1, q)
     shortfall = (q ** m - q ** rho) * (gaussian(n, 1, q) - gaussian(rho, 1, q))
     eps = -shortfall % modulus
@@ -122,7 +122,13 @@ def excess_parameters(q, m, n, rho):
     return eps, delta
 
 
-def _check_rho(n, rho):
+def _check_q(q):
+    if q < 2:
+        raise ValueError(f"field size {q} must be >= 2")
+
+
+def _check_rho(q, n, rho):
+    _check_q(q)
     if not 0 < rho < n:
         raise ValueError(f"covering radius {rho} outside (0, {n})")
 
@@ -145,7 +151,7 @@ def covering_upper(q, m, n, rho):
        that size leaves some vector uncovered with probability < 1);
     E: floor((Q/V_rho)(1 + ln V_rho)) (Johnston-Stein-Lovasz applied to the
        coverage incidence matrix)."""
-    _check_rho(n, rho)
+    _check_rho(q, n, rho)
     Q = q ** (m * n)
     _, V_rho = ball_counts(q, m, n, rho)
     gain = _split_gains(m, n)[rho]
@@ -262,6 +268,7 @@ def covering_report(q, m, n, rho):
     bound: at degenerate sizes they can collapse the interval below
     constructive knowledge, and the published tables treat them as
     asymptotic indicators rather than interval-closers."""
+    _check_q(q)
     if m < 1 or n < 1 or rho < 0:
         raise ValueError("need m, n >= 1 and rho >= 0")
     if n > m:
@@ -316,8 +323,7 @@ def linear_dim_bounds(q, m, n, rho):
     sigma(q) replaced by s = ceil(sigma(q)): 2 for q = 2 (sigma ~ 1.792)
     and 1 for q >= 3 (sigma is decreasing, sigma(3) ~ 0.53).  Then
     k_lower = n - rho + 1 - ceil((rho(n-rho) + s)/m) in integers."""
-    if q < 2:
-        raise ValueError(f"field size {q} must be >= 2")
+    _check_q(q)
     if n > m:
         raise ValueError(f"need n <= m, got n={n} > m={m}")
     if not 0 <= rho <= n:

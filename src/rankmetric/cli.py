@@ -70,11 +70,7 @@ def parse_range(text):
     """'2..7' -> range(2, 8); '3' -> range(3, 4)."""
     lo, dots, hi = text.partition("..")
     try:
-        if dots:
-            r = range(int(lo), int(hi) + 1)
-        else:
-            v = int(text)
-            r = range(v, v + 1)
+        r = range(int(lo), int(hi if dots else lo) + 1)
     except ValueError:
         raise ValueError(f"bad range {text!r}; use N or LO..HI") from None
     if len(r) == 0:

@@ -5,7 +5,8 @@ codeword set (the transpose and field-embedding constructions need not stay
 linear over their new ambient field, so they return Codebooks).  Exhaustive
 quantities (rank distribution, minimum distance, covering radius) stream
 codewords or ambient vectors in fixed-size chunks through the vectorized
-rank kernel of _batch, for every q, and are guarded by an enumeration cap.
+rank kernel of _batch, for every q, and rankgeom.guard refuses one whose
+words, scalar classes, syndromes, ambient or shell pass its cap.
 
 The covering radius grows the rank ball around the code shell by shell
 (_batch.shell, _batch.balls) until it reaches every syndrome of a linear
@@ -19,6 +20,7 @@ and (q^{mk} - 1)/(q^m - 1) words stand for the q^{mk}.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -49,11 +51,17 @@ class LinearCode:
         return self.field.order ** self.k
 
     def encode(self, msg):
-        """Codeword for a message of k encodings: sum_i msg_i * G_i."""
+        """Codeword sum_i msg_i * G_i of a message of k encodings; any other
+        message raises ValueError."""
+        rankgeom.check_encodings(self.field, (msg,))
         return _linalg.lincomb(self.field, msg, self.G, self.n)
 
     def contains(self, word):
-        """Membership via the parity checks H . word = 0."""
+        """Membership via the parity checks H . word = 0; a word not in
+        GF(q^m)^n raises ValueError."""
+        if len(word) != self.n:
+            raise ValueError(f"word has length {len(word)}, not n = {self.n}")
+        rankgeom.check_encodings(self.field, (word,))
         return all(dot(self.field, h, word) == 0 for h in dual(self).G)
 
     def __repr__(self):
@@ -118,16 +126,14 @@ def make_codebook(field, words):
 # ---------------------------------------------------------------------------
 
 def codewords(code):
-    """All codewords.  Linear codes stream in message-odometer order: message
-    w in [0, q^{mk}) has symbols msg_i = (w // order^i) mod order."""
+    """An iterator over all codewords, refused at the call past the guard.
+    Linear codes stream in message-odometer order: message w in
+    [0, q^{mk}) has symbols msg_i = (w // order^i) mod order."""
     if isinstance(code, Codebook):
-        yield from code.words
-        return
-    if code.size > rankgeom.BRUTE_GUARD:
-        raise rankgeom.GuardExceeded(
-            f"codebook size {code.size} exceeds guard")
-    for words in _word_chunks(code):
-        yield from map(tuple, words.tolist())
+        return iter(code.words)
+    rankgeom.guard(code.size, "codebook size")
+    return itertools.chain.from_iterable(
+        map(tuple, words.tolist()) for words in _word_chunks(code))
 
 
 def _slices(array):
@@ -165,9 +171,7 @@ def _weight_distribution(code, weights):
     F, n = code.field, code.n
     linear = isinstance(code, LinearCode)
     count = (code.size - 1) // (F.order - 1) if linear else code.size
-    if count > rankgeom.BRUTE_GUARD:
-        what = "scalar class count" if linear else "codebook size"
-        raise rankgeom.GuardExceeded(f"{what} {count} exceeds guard")
+    rankgeom.guard(count, "scalar class count" if linear else "codebook size")
     counts = np.zeros(n + 1, dtype=np.int64)
     for words in (_class_chunks if linear else _word_chunks)(code):
         counts += np.bincount(weights(F, words), minlength=n + 1)
@@ -266,11 +270,8 @@ def covering_radius(code):
     F, n = code.field, code.n
     if isinstance(code, LinearCode):
         top = min(F.m, n - code.k)
-        syndromes = F.order ** (n - code.k)
-        if syndromes > rankgeom.BRUTE_GUARD:
-            raise rankgeom.GuardExceeded(
-                f"syndrome space {syndromes} exceeds guard")
-        hit = np.zeros(syndromes, dtype=bool)
+        hit = np.zeros(rankgeom.guard(F.order ** (n - code.k),
+                                      "syndrome space"), dtype=bool)
         HT = np.array(dual(code).G, dtype=np.int64).reshape(n - code.k, n).T
         times = _batch.times(F, HT)
 
@@ -278,20 +279,15 @@ def covering_radius(code):
             return [_batch.pack(F.order, times(vectors))]
     else:
         top = min(F.m, n)
-        ambient = F.order ** n
-        if ambient > rankgeom.BRUTE_GUARD:
-            raise rankgeom.GuardExceeded(
-                f"ambient size {ambient} exceeds guard")
-        hit = np.zeros(ambient, dtype=bool)
+        hit = np.zeros(rankgeom.guard(F.order ** n, "ambient size"),
+                       dtype=bool)
         centers = _batch.pack(F.order, code.words)
 
         def reach(vectors):
             return _batch.balls(F, _batch.pack(F.order, vectors), centers)
     for rho in range(top):
-        size = rankgeom.sphere_count(F.q, F.m, n, rho)
-        if size > rankgeom.BRUTE_GUARD:
-            raise rankgeom.GuardExceeded(
-                f"rank-{rho} shell size {size} exceeds guard")
+        rankgeom.guard(rankgeom.sphere_count(F.q, F.m, n, rho),
+                       f"rank-{rho} shell size")
         for vectors in _batch.shell(F, n, rho):
             for idx in reach(vectors):
                 hit[idx] = True
@@ -346,8 +342,7 @@ def transpose_code(code):
     result is an explicit Codebook.  Both ambients use polynomial bases.
     """
     F, n = code.field, code.n
-    if F.order ** n > rankgeom.BRUTE_GUARD:
-        raise rankgeom.GuardExceeded("ambient exceeds guard")
+    rankgeom.guard(F.order ** n, "ambient size")
     digits = _batch.digits_table(F)
     words = []
     for chunk in _word_chunks(code):
@@ -408,9 +403,6 @@ def array_view(code, basis=None):
     F = code.field
     if basis is not None and not F.is_basis(basis):
         raise ValueError("dependent basis")
-    if code.size > rankgeom.BRUTE_GUARD:
-        raise rankgeom.GuardExceeded(
-            f"codebook size {code.size} exceeds guard")
     return [F.expand(w, basis=basis) for w in codewords(code)]
 
 

@@ -106,14 +106,9 @@ def default_modulus(q, m):
     default for GF(4) is x^2 + x + 1 and for GF(8) is x^3 + x + 1.
     """
     for v in range(q ** m):
-        coeffs = []
-        t = v
-        for _ in range(m):
-            coeffs.append(t % q)
-            t //= q
-        coeffs.append(1)
-        if is_irreducible(tuple(coeffs), q):
-            return tuple(coeffs)
+        coeffs = tuple(v // q ** i % q for i in range(m)) + (1,)
+        if is_irreducible(coeffs, q):
+            return coeffs
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 

@@ -38,8 +38,7 @@ import numpy as np
 from . import _batch
 from .codes import make_code, make_codebook, make_zero_code
 from .ffield import make_field
-from .rankgeom import (canonical_rank_vector, check_encodings,
-                       enumerate_vectors, rank)
+from .rankgeom import canonical_rank_vector, check_encodings, guard, rank
 
 
 class InconclusiveSearch(RuntimeError):
@@ -158,7 +157,7 @@ def is_covering(q, m, n, centers, rho):
     """
     _check_params(q, m, n, rho)
     F = make_field(q, m)
-    enumerate_vectors(F, n)  # refuses an ambient size over the guard
+    guard(F.order ** n, "ambient size")
     centers = [tuple(int(x) for x in c) for c in centers]
     bad = next((c for c in centers if len(c) != n), None)
     if bad is not None:

@@ -7,7 +7,8 @@ used everywhere else (Gaussian binomials, the alpha/beta product kernels, and
 sphere/ball volumes), elementary linear subspaces (ELS: subspaces admitting a
 basis of vectors with all coordinates in the base field -- the rank-metric
 analog of coordinate supports), and exact ball-intersection volumes (closed
-forms where proved, brute force otherwise).
+forms where proved, brute force otherwise).  Every exhaustive scan, here and
+in codes and oracle, is sized by guard(count, what) against BRUTE_GUARD.
 """
 from __future__ import annotations
 
@@ -30,6 +31,13 @@ class NoClosedFormError(ValueError):
 
 class GuardExceeded(ValueError):
     """Raised when an enumeration would pass its size guard (BRUTE_GUARD)."""
+
+
+def guard(count, what):
+    """Return count; raise GuardExceeded past BRUTE_GUARD, read per call."""
+    if count > BRUTE_GUARD:
+        raise GuardExceeded(f"{what} {count} exceeds guard")
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -85,14 +93,11 @@ def _sigma_q_mp(q):
     """
     with mpmath.workdps(50):
         s = mpmath.mpf(0)
-        k = 1
-        while True:
+        for k in itertools.count(1):
             term = mpmath.mpf(1) / (k * (mpmath.mpf(q) ** k - 1))
             s += term
             if term < mpmath.mpf(10) ** -30:
-                break
-            k += 1
-        return s / mpmath.log(q)
+                return s / mpmath.log(q)
 
 
 def sigma_q(q):
@@ -138,10 +143,12 @@ def ball_volume_bounds(q, m, n, r):
 # ---------------------------------------------------------------------------
 
 def check_encodings(field, rows):
-    """Refuse an entry of rows outside [0, q^m), the encodings of field."""
-    bad = next((x for r in rows for x in r if not 0 <= x < field.order), None)
-    if bad is not None:
-        raise ValueError(f"encoding {bad} outside field")
+    """Refuse an entry of rows outside [0, q^m), the encodings of field.
+    Plain loops: encode and rank call this on every vector."""
+    for r in rows:
+        for x in r:
+            if not 0 <= x < field.order:
+                raise ValueError(f"encoding {x} outside field")
 
 
 def rank(field, vec):
@@ -248,12 +255,10 @@ def make_els(q, n, rows):
 def subspaces(q, n, v):
     """The v-dim subspaces of GF(q)^n, that is the ELS's of dimension v, as
     _batch.subspace_chunks streams them.  Refuses at the call a v outside
-    [0, n] and more than BRUTE_GUARD subspaces."""
+    [0, n] and, through guard, more than BRUTE_GUARD subspaces."""
     if not 0 <= v <= n:
         raise ValueError(f"dimension {v} outside [0, {n}]")
-    count = gaussian(n, v, q)
-    if count > BRUTE_GUARD:
-        raise GuardExceeded(f"ELS count {count} exceeds guard {BRUTE_GUARD}")
+    guard(gaussian(n, v, q), "ELS count")
     return _batch.subspace_chunks(q, n, v)
 
 
@@ -266,6 +271,7 @@ def enumerate_els(q, n, v):
 def support_els(field, vec):
     """The unique ELS of dimension rank(vec) containing vec: the GF(q)-row
     space of the expansion, lifted back to GF(q^m)^n."""
+    check_encodings(field, (vec,))
     return make_els(field.q, len(vec), field.expand(vec))
 
 
@@ -289,8 +295,12 @@ def project(field, u, els_a, els_b):
 
     The combined elementary bases stay independent over GF(q^m), so the
     coefficients are found by solving one linear system over the extension
-    field.  Raises if A and B intersect nontrivially or u lies outside A+B.
+    field.  Raises if u is not in GF(q^m)^n, A and B intersect, or u lies
+    outside A+B.
     """
+    if len(u) != els_a.n:
+        raise ValueError(f"u has length {len(u)}, not n = {els_a.n}")
+    check_encodings(field, (u,))
     rows = [*els_a.basis, *els_b.basis]
     if _linalg.rank_field(make_field(field.q, 1), rows) < len(rows):
         raise ValueError("A and B intersect nontrivially")
@@ -332,10 +342,8 @@ def intersection_volume_closed(q, m, n, r1, r2, dist):
 
 
 def enumerate_vectors(field, n):
-    total = field.order ** n
-    if total > BRUTE_GUARD:
-        raise GuardExceeded(
-            f"ambient size {total} exceeds guard {BRUTE_GUARD}")
+    """Every vector of GF(q^m)^n, refused at the call past the guard."""
+    guard(field.order ** n, "ambient size")
     return itertools.product(field.elements(), repeat=n)
 
 

@@ -554,6 +554,43 @@ def test_linear_dim_bounds_worked_examples():
         bd.linear_dim_bounds(1, 4, 4, 2)
 
 
+@pytest.mark.parametrize("fn", [bd.covering_report, bd.covering_lower,
+                                bd.covering_upper, bd.linear_dim_bounds,
+                                bd.excess_parameters])
+@pytest.mark.parametrize("q", [1, 0])
+def test_field_size_below_two_refused(fn, q):
+    # covering_report(1, 2, 2, 1) once raised ZeroDivisionError from the
+    # Gaussian binomial [n 1]_1
+    with pytest.raises(ValueError, match=f"^field size {q} must be >= 2$"):
+        fn(q, 2, 2, 1)
+
+
+def test_negative_field_size_refused_without_hanging():
+    # covering_upper(-2, 2, 2, 1) once ran the directed-rounding loop of
+    # bound D forever, so this runs in a subprocess under a timeout
+    code = ("from rankmetric import bounds as bd\n"
+            "for fn in (bd.covering_report, bd.covering_lower,\n"
+            "           bd.covering_upper, bd.linear_dim_bounds,\n"
+            "           bd.excess_parameters):\n"
+            "    try:\n"
+            "        print(fn(-2, 2, 2, 1))\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n")
+    src = Path(rankmetric.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=20)
+    assert proc.stdout == "field size -2 must be >= 2\n" * 5
+
+
+def test_covering_table_refuses_field_size_one():
+    with pytest.raises(ValueError, match="^field size 1 must be >= 2$"):
+        bd.covering_table(1, range(2, 4), range(2, 4), range(0, 3))
+    # the exact radii, which use no Gaussian binomial, are refused too
+    with pytest.raises(ValueError, match="^field size 1 must be >= 2$"):
+        bd.covering_report(1, 2, 2, 2)
+
+
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_linear_dim_bounds_against_high_precision_floor(q):
     # the defining formulas with sigma(q) summed at 100 digits, independent

@@ -236,6 +236,57 @@ def test_code_scans_read_the_rankgeom_guard(monkeypatch):
         cd.covering_radius(C)
 
 
+def test_codewords_refuses_at_the_call(monkeypatch):
+    # codewords once was a generator function, so a code past the guard
+    # raised only at the first next(); now the call itself refuses
+    F = make_field(2, 3)
+    C = cd.gabidulin(F, F.polynomial_basis(), 2)  # 64 words
+    monkeypatch.setattr(rg, "BRUTE_GUARD", 63)
+    with pytest.raises(rg.GuardExceeded,
+                       match="^codebook size 64 exceeds guard$"):
+        cd.codewords(C)
+    with pytest.raises(rg.GuardExceeded,
+                       match="^codebook size 64 exceeds guard$"):
+        cd.array_view(C)
+    monkeypatch.setattr(rg, "BRUTE_GUARD", 64)
+    # message w has symbols (w mod 8, w div 8): message-odometer order
+    assert list(cd.codewords(C)) == [C.encode((w % 8, w // 8))
+                                     for w in range(64)]
+    book = cd.make_codebook(F, cd.codewords(C))
+    monkeypatch.setattr(rg, "BRUTE_GUARD", 1)  # a codebook is not scanned
+    assert list(cd.codewords(book)) == list(book.words)
+
+
+def test_scalar_code_api_refuses_bad_vectors():
+    # encode, contains and dot once truncated or padded a vector of the
+    # wrong length, and read an encoding outside the field
+    F = make_field(2, 3)
+    C = cd.gabidulin(F, (1, 2, 4), 2)
+    assert C.encode((1, 2)) == (3, 1, 3)  # (1, 2, 4) + 2 (1, 4, 6)
+    assert C.contains(C.encode((1, 2)))
+    assert not C.contains((1, 0, 0))
+    for word in [(0, 0), (0, 0, 0, 5)]:
+        with pytest.raises(ValueError, match=f"^word has length {len(word)}, "
+                                             "not n = 3$"):
+            C.contains(word)
+    for word, bad in [((0, 0, 8), 8), ((0, -1, 0), -1)]:
+        with pytest.raises(ValueError, match=f"^encoding {bad} outside field$"):
+            C.contains(word)
+    for msg in [(1,), (1, 2, 3), ()]:
+        with pytest.raises(ValueError, match=r"^zip\(\) argument"):
+            C.encode(msg)
+    for msg, bad in [((1, -1), -1), ((1, 99), 99)]:
+        with pytest.raises(ValueError, match=f"^encoding {bad} outside field$"):
+            C.encode(msg)
+    with pytest.raises(ValueError, match=r"^zip\(\) argument"):
+        cd.dot(F, (1, 2), (1,))
+    # a full-length code has no parity checks, yet still checks its words
+    full = cd.make_code(F, [(1, 0), (0, 1)])
+    assert full.contains((5, 6))
+    with pytest.raises(ValueError, match="^word has length 3, not n = 2$"):
+        full.contains((5, 6, 0))
+
+
 def test_min_distance_nonlinear_pairs():
     F = make_field(2, 2)
     book = cd.make_codebook(F, [(0, 0), (1, 2), (2, 3)])

@@ -1,6 +1,7 @@
 """Tests for the one Gauss-Jordan elimination, over GF(q) = GF(q^1)."""
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from rankmetric import _linalg
@@ -34,3 +35,12 @@ def test_rank_over_base_field_is_log_of_row_space_size(case):
     assert q ** _linalg.rank_field(make_field(q, 1), mat) == \
         row_space_size(q, mat)
 
+
+
+def test_lincomb_refuses_unequal_lengths():
+    # zip once dropped the extra coefficients or rows without a word
+    F = make_field(3, 2)
+    assert _linalg.lincomb(F, (1, 2), [(1, 0), (0, 1)], 2) == (1, 2)
+    for coeffs, rows in [((1, 1), [(1, 0)]), ((1,), [(1, 0), (0, 1)])]:
+        with pytest.raises(ValueError):
+            _linalg.lincomb(F, coeffs, rows, 2)

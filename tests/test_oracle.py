@@ -1,4 +1,5 @@
 """Tests for the brute-force search oracles."""
+import functools
 import itertools
 import random
 
@@ -169,11 +170,28 @@ def _min_covering(q, m, n, rho):
             return K
 
 
+@functools.cache
+def _recorded_decision(q, m, n, rho, K):
+    """exhaustive_min_covering(q, m, n, rho, K) and the node count of each
+    search budget it opened.  Cached, so the 43,944-node decision of
+    (2, 4, 2, 1, K=8) runs once for the tests that read it."""
+    budgets = []
+
+    class Recorded(oc._Budget):
+        def __init__(self, *args):
+            super().__init__(*args)
+            budgets.append(self)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oc, "_Budget", Recorded)
+        dec = oc.exhaustive_min_covering(q, m, n, rho, K)
+    return dec, [b.nodes for b in budgets]
+
+
 def test_exhaustive_covering_settles_frontier_cell():
     # the published table leaves K_R(2^4, 2, 1) in [7, 8]
     assert bd.covering_report(2, 4, 2, 1).interval() == (7, 8)
     assert not oc.exhaustive_min_covering(2, 4, 2, 1, 7).exists
-    dec = oc.exhaustive_min_covering(2, 4, 2, 1, 8)
+    dec = _recorded_decision(2, 4, 2, 1, 8)[0]
     assert dec.exists and len(dec.witness) == 8
     assert oc.is_covering(2, 4, 2, dec.witness, 1)
 
@@ -212,7 +230,7 @@ def test_exhaustive_covering_against_brute_force(q, m, n, rho):
 def test_is_covering_rejects_a_minimum_covering_minus_one(q, m, n, rho, K):
     # K = K_R here, so dropping any one center of a minimum covering
     # leaves some vector uncovered
-    words = oc.exhaustive_min_covering(q, m, n, rho, K).witness
+    words = _recorded_decision(q, m, n, rho, K)[0].witness
     assert oc.is_covering(q, m, n, words, rho)
     for i in range(K):
         assert not oc.is_covering(q, m, n, words[:i] + words[i + 1:], rho)
@@ -224,7 +242,7 @@ def test_is_covering_guard(monkeypatch):
     monkeypatch.setattr(rg, "BRUTE_GUARD", 16)
     assert oc.is_covering(2, 2, 2, [(0, 0)], 2)
     monkeypatch.setattr(rg, "BRUTE_GUARD", 15)
-    with pytest.raises(ValueError, match="^ambient size 16 exceeds guard 15$"):
+    with pytest.raises(ValueError, match="^ambient size 16 exceeds guard$"):
         oc.is_covering(2, 2, 2, [(0, 0)], 2)
 
 
@@ -354,16 +372,9 @@ def test_is_covering_independent_of_array_kernels(monkeypatch, q, m, n, rho):
 @pytest.mark.parametrize("q,m,n,rho,K,exists,nodes", [
     (2, 4, 2, 1, 7, False, 95), (2, 4, 2, 1, 8, True, 43944),
     (3, 2, 2, 1, 4, False, 36), (2, 3, 3, 2, 3, False, 4)])
-def test_exhaustive_covering_node_counts(monkeypatch, q, m, n, rho, K,
-                                         exists, nodes):
+def test_exhaustive_covering_node_counts(q, m, n, rho, K, exists, nodes):
     # the candidate order, the two pruning rules and the undo fix the
     # number of nodes a decision expands
-    budgets = []
-
-    class Recorded(oc._Budget):
-        def __init__(self, *args):
-            super().__init__(*args)
-            budgets.append(self)
-    monkeypatch.setattr(oc, "_Budget", Recorded)
-    assert oc.exhaustive_min_covering(q, m, n, rho, K).exists == exists
-    assert [b.nodes for b in budgets] == [nodes]
+    dec, budget_nodes = _recorded_decision(q, m, n, rho, K)
+    assert dec.exists == exists
+    assert budget_nodes == [nodes]

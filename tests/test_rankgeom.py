@@ -3,6 +3,7 @@
 Closed-form counts are checked against independent brute-force enumeration
 oracles wherever the ambient space is desk-scale.
 """
+import ast
 import itertools
 import os
 import subprocess
@@ -255,7 +256,7 @@ def test_enumerate_els_guard(monkeypatch):
     monkeypatch.setattr(rg, "BRUTE_GUARD", 35)
     assert len(rg.enumerate_els(2, 4, 2)) == 35
     monkeypatch.setattr(rg, "BRUTE_GUARD", 34)
-    with pytest.raises(ValueError, match="^ELS count 35 exceeds guard 34$"):
+    with pytest.raises(ValueError, match="^ELS count 35 exceeds guard$"):
         rg.enumerate_els(2, 4, 2)
     assert len(rg.enumerate_els(2, 4, 1)) == 15
 
@@ -288,6 +289,70 @@ def test_support_els():
     # uniqueness: no other dim-2 ELS contains the vector
     hits = [e for e in rg.enumerate_els(2, 3, 2) if e.contains(F, (1, 2, 3))]
     assert hits == [s]
+
+
+def test_project_and_support_refuse_bad_vectors():
+    # project once solved for a short u as if n were shorter and raised
+    # IndexError for an encoding past the field; support_els read 99 as 3
+    # in GF(2^2)
+    F = make_field(2, 3)
+    A = rg.make_els(2, 3, [[1, 0, 0]])
+    B = rg.make_els(2, 3, [[0, 1, 0], [0, 0, 1]])
+    assert rg.project(F, (1, 2, 7), A, B) == ((1, 0, 0), (0, 2, 7))
+    for u in [(1, 2), (1, 2, 3, 4)]:
+        with pytest.raises(ValueError, match=f"^u has length {len(u)}, "
+                                             "not n = 3$"):
+            rg.project(F, u, A, B)
+    for u, bad in [((1, 2, 99), 99), ((1, -1, 0), -1), ((8, 0, 0), 8)]:
+        with pytest.raises(ValueError, match=f"^encoding {bad} outside field$"):
+            rg.project(F, u, A, B)
+    with pytest.raises(ValueError, match="^encoding 99 outside field$"):
+        rg.support_els(make_field(2, 2), (99,))
+    with pytest.raises(ValueError, match="^encoding 4 outside field$"):
+        rg.Els(2, 2, ((1, 0),)).contains(make_field(2, 2), (1, 4))
+
+
+def test_guard_reads_the_cap_at_the_call(monkeypatch):
+    assert rg.guard(rg.BRUTE_GUARD, "ambient size") == rg.BRUTE_GUARD
+    monkeypatch.setattr(rg, "BRUTE_GUARD", 3)
+    assert rg.guard(3, "things") == 3
+    with pytest.raises(rg.GuardExceeded, match="^things 4 exceeds guard$"):
+        rg.guard(4, "things")
+
+
+def _guard_uses(path):
+    """(module, function) of every read of BRUTE_GUARD and every
+    GuardExceeded raised or built in the module at path; <module> for
+    module-level code, the innermost def otherwise."""
+    uses = set()
+
+    def name(node):
+        return getattr(node, "id", None) or getattr(node, "attr", None)
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (isinstance(node, (ast.Name, ast.Attribute))
+                and isinstance(node.ctx, ast.Load)
+                and name(node) == "BRUTE_GUARD"):
+            uses.add((path.stem, where))
+        if isinstance(node, ast.Call) and name(node.func) == "GuardExceeded":
+            uses.add((path.stem, where))
+        if isinstance(node, ast.Raise) and node.exc is not None \
+                and name(node.exc) == "GuardExceeded":
+            uses.add((path.stem, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+    visit(ast.parse(path.read_text()), "<module>")
+    return uses
+
+
+def test_only_guard_reads_the_guard():
+    # one size check: every scan calls rankgeom.guard, and no other code
+    # in the package reads BRUTE_GUARD or raises GuardExceeded
+    package = Path(rg.__file__).resolve().parent
+    uses = set().union(*map(_guard_uses, sorted(package.glob("*.py"))))
+    assert uses == {("rankgeom", "guard")}
 
 
 def test_complements_counts():
@@ -325,7 +390,7 @@ def test_complements_guard(monkeypatch):
     monkeypatch.setattr(rg, "BRUTE_GUARD", 15)
     assert len(rg.complements(a1, v4)) == 8  # q^{1*3}
     monkeypatch.setattr(rg, "BRUTE_GUARD", 14)
-    with pytest.raises(ValueError, match="^ELS count 15 exceeds guard 14$"):
+    with pytest.raises(ValueError, match="^ELS count 15 exceeds guard$"):
         rg.complements(a1, v4)
 
 
@@ -615,6 +680,25 @@ def test_batch_add_sub_refuse_negative_encodings():
                           capture_output=True, text=True, timeout=20)
     # packed encodings of any length stay valid operands
     assert proc.stdout == "negative encoding\n" * 6 + f"[9, {3 ** 30 + 1}]\n"
+
+
+@pytest.mark.parametrize("q,m,n", [(2, 3, 3), (3, 2, 3), (3, 3, 2),
+                                   (5, 2, 2)])
+def test_batch_add_sub_match_field_on_elements_and_packed_vectors(q, m, n):
+    # add and sub work digit by digit, so they equal Field.add and .sub on
+    # element encodings, and on packed vectors give the packed result
+    F = make_field(q, m)
+    rng = np.random.default_rng(q * 100 + m * 10 + n)
+    u, v = rng.integers(0, F.order, size=(2, 300, n))
+    u[:10] = 0  # zero operands on either side
+    v[10:20] = 0
+    for op, scalar in ((_batch.add, F.add), (_batch.sub, F.sub)):
+        want = [[scalar(a, b) for a, b in zip(x, y)]
+                for x, y in zip(u.tolist(), v.tolist())]
+        assert op(F, u, v).tolist() == want
+        packed = op(F, _batch.pack(F.order, u), _batch.pack(F.order, v))
+        assert packed.tolist() == _batch.pack(F.order, want).tolist()
+        assert _batch.unpack(F.order, packed, n).tolist() == want
 
 
 @pytest.mark.parametrize("q,m,n", [(2, 5, 4), (2, 3, 6), (2, 8, 8),
