@@ -107,15 +107,6 @@ def int_at_least(lo):
     return parse
 
 
-def parse_vector(field, text):
-    """Encodings of a vector over field; each must lie in [0, q^m)."""
-    vec = parse_ints(text)
-    for x in vec:
-        if not 0 <= x < field.order:
-            raise ValueError(f"encoding {x} outside GF({field.q}^{field.m})")
-    return vec
-
-
 # ---------------------------------------------------------------------------
 # simple queries
 # ---------------------------------------------------------------------------
@@ -138,10 +129,10 @@ def cmd_field(args):
 
 def cmd_rank(args):
     F = _field_from_args(args)
-    vec = parse_vector(F, args.vec)
+    vec = parse_ints(args.vec)
     if args.vec2 is None:
         return Answer([rg.rank(F, vec)])
-    return Answer([rg.rank_distance(F, vec, parse_vector(F, args.vec2))])
+    return Answer([rg.rank_distance(F, vec, parse_ints(args.vec2))])
 
 
 def cmd_ball(args):
@@ -208,9 +199,8 @@ def cmd_code(args):
 def cmd_gabidulin(args):
     F = make_field(args.q, args.m)
     if args.g:
-        g = parse_vector(F, args.g)
-        if len(g) != args.n:
-            raise ValueError(f"--g has {len(g)} points, but --n is {args.n}")
+        g = parse_ints(args.g)
+        rg.check_vectors(F, (g,), args.n)
     else:
         g = tuple(F.q ** i for i in range(args.n))  # polynomial basis slice
     code = cd.gabidulin(F, g, args.k, args.a)
@@ -579,7 +569,7 @@ def build_parser():
     p.set_defaults(func=cmd_code)
 
     p = sub.add_parser("gabidulin", help="emit a Gabidulin code file")
-    _add_ints(p, "q", "m", "n", "k")
+    _add_ints(p, "q", "m", "n", "k", n=int_at_least(1))
     p.add_argument("--a", type=int, default=1,
                    help="Frobenius power parameter (coprime to m)")
     p.add_argument("--g", help="evaluation points (encodings)")

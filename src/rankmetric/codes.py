@@ -53,15 +53,13 @@ class LinearCode:
     def encode(self, msg):
         """Codeword sum_i msg_i * G_i of a message of k encodings; any other
         message raises ValueError."""
-        rankgeom.check_encodings(self.field, (msg,))
+        rankgeom.check_vectors(self.field, (msg,), self.k)
         return _linalg.lincomb(self.field, msg, self.G, self.n)
 
     def contains(self, word):
         """Membership via the parity checks H . word = 0; a word not in
         GF(q^m)^n raises ValueError."""
-        if len(word) != self.n:
-            raise ValueError(f"word has length {len(word)}, not n = {self.n}")
-        rankgeom.check_encodings(self.field, (word,))
+        rankgeom.check_vectors(self.field, (word,), self.n)
         return all(dot(self.field, h, word) == 0 for h in dual(self).G)
 
     def __repr__(self):
@@ -94,9 +92,7 @@ def make_code(field, G):
     G = tuple(tuple(int(x) for x in row) for row in G)
     if G:
         n = len(G[0])
-        if any(len(row) != n for row in G):
-            raise ValueError("ragged generator matrix")
-        rankgeom.check_encodings(field, G)
+        rankgeom.check_vectors(field, G, n)
         if _linalg.rank_field(field, [list(r) for r in G]) < len(G):
             raise ValueError("generator rows are dependent")
     else:
@@ -114,10 +110,7 @@ def make_codebook(field, words):
     words = sorted({tuple(int(x) for x in w) for w in words})
     if not words:
         raise ValueError("empty codebook")
-    n = len(words[0])
-    if any(len(w) != n for w in words):
-        raise ValueError("ragged codewords")
-    rankgeom.check_encodings(field, words)
+    rankgeom.check_vectors(field, words, len(words[0]))
     return Codebook(field, tuple(words))
 
 
@@ -194,13 +187,15 @@ def min_rank_distance(code):
 
     For a linear code this is the minimum nonzero codeword rank; a Codebook
     ranks the differences from each codeword to the later ones, CHUNK at a
-    time.  Codes with fewer than two words have no pairs and return None.
+    time, refused through guard past BRUTE_GUARD pairs.  Codes with fewer
+    than two words have no pairs and return None.
     """
     if isinstance(code, LinearCode):
         dist = rank_distribution(code)
         return next((i for i in range(1, len(dist)) if dist[i]), None)
     if code.size < 2:
         return None
+    rankgeom.guard(code.size * (code.size - 1) // 2, "codeword pair count")
     F = code.field
     words = np.array(code.words, dtype=np.int64)
     best = code.n
@@ -245,6 +240,7 @@ def dual(code):
 
 
 def dot(field, u, v):
+    rankgeom.check_vectors(field, (u, v), len(u))
     return _linalg.lincomb(field, u, [(b,) for b in v], 1)[0]
 
 
@@ -438,8 +434,7 @@ def parse_code(text):
     if len(lines) != 1 + k:
         raise ValueError(f"expected {k} generator rows, got {len(lines) - 1}")
     rows = [tuple(map(int, ln.split())) for ln in lines[1:]]
-    if any(len(r) != n for r in rows):
-        raise ValueError("generator row of wrong length")
+    rankgeom.check_vectors(field, rows, n)
     if k == 0:
         return make_zero_code(field, n)
     return make_code(field, rows)

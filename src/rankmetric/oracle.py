@@ -38,7 +38,7 @@ import numpy as np
 from . import _batch
 from .codes import make_code, make_codebook, make_zero_code
 from .ffield import make_field
-from .rankgeom import canonical_rank_vector, check_encodings, guard, rank
+from .rankgeom import canonical_rank_vector, check_vectors, guard, rank
 
 
 class InconclusiveSearch(RuntimeError):
@@ -159,10 +159,7 @@ def is_covering(q, m, n, centers, rho):
     F = make_field(q, m)
     guard(F.order ** n, "ambient size")
     centers = [tuple(int(x) for x in c) for c in centers]
-    bad = next((c for c in centers if len(c) != n), None)
-    if bad is not None:
-        raise ValueError(f"center {bad} has length {len(bad)}, not n = {n}")
-    check_encodings(F, centers)
+    check_vectors(F, centers, n)
     Q = F.order
 
     def index(v):

@@ -8,7 +8,9 @@ sphere/ball volumes), elementary linear subspaces (ELS: subspaces admitting a
 basis of vectors with all coordinates in the base field -- the rank-metric
 analog of coordinate supports), and exact ball-intersection volumes (closed
 forms where proved, brute force otherwise).  Every exhaustive scan, here and
-in codes and oracle, is sized by guard(count, what) against BRUTE_GUARD.
+in codes and oracle, is sized by guard(count, what) against BRUTE_GUARD, and
+every vector that comes from outside, here and in codes, oracle and cli,
+passes check_vectors(field, rows, n), the one length and encoding check.
 """
 from __future__ import annotations
 
@@ -142,13 +144,16 @@ def ball_volume_bounds(q, m, n, r):
 # rank weight and distance
 # ---------------------------------------------------------------------------
 
-def check_encodings(field, rows):
-    """Refuse an entry of rows outside [0, q^m), the encodings of field.
-    Plain loops: encode and rank call this on every vector."""
+def check_vectors(field, rows, n):
+    """Refuse a row whose length is not n or with an entry outside [0, q^m),
+    the encodings of field: the one check of vectors from outside.  Plain
+    loops: encode and rank call this on every vector."""
     for r in rows:
+        if len(r) != n:
+            raise ValueError(f"vector {tuple(r)} has length {len(r)}, not {n}")
         for x in r:
             if not 0 <= x < field.order:
-                raise ValueError(f"encoding {x} outside field")
+                raise ValueError(f"encoding {x} outside GF({field.q}^{field.m})")
 
 
 def rank(field, vec):
@@ -159,7 +164,7 @@ def rank(field, vec):
     into an XOR basis with one row per leading bit.  At odd q one nonzero
     row at a time clears its leading column from the others, mod q."""
     vec = tuple(int(x) for x in vec)  # tolerate numpy integers
-    check_encodings(field, (vec,))
+    check_vectors(field, (vec,), len(vec))
     q = field.q
     if q == 2:
         basis = {}
@@ -189,9 +194,7 @@ def rank(field, vec):
 def rank_distance(field, u, v):
     """Rank weight of u - v.  Raises ValueError for vectors of different
     lengths or an entry outside [0, q^m)."""
-    if len(u) != len(v):
-        raise ValueError("vectors of different lengths")
-    check_encodings(field, (u, v))
+    check_vectors(field, (u, v), len(u))
     return rank(field, tuple(field.sub(a, b) for a, b in zip(u, v)))
 
 
@@ -271,7 +274,7 @@ def enumerate_els(q, n, v):
 def support_els(field, vec):
     """The unique ELS of dimension rank(vec) containing vec: the GF(q)-row
     space of the expansion, lifted back to GF(q^m)^n."""
-    check_encodings(field, (vec,))
+    check_vectors(field, (vec,), len(vec))
     return make_els(field.q, len(vec), field.expand(vec))
 
 
@@ -298,9 +301,7 @@ def project(field, u, els_a, els_b):
     field.  Raises if u is not in GF(q^m)^n, A and B intersect, or u lies
     outside A+B.
     """
-    if len(u) != els_a.n:
-        raise ValueError(f"u has length {len(u)}, not n = {els_a.n}")
-    check_encodings(field, (u,))
+    check_vectors(field, (u,), els_a.n)
     rows = [*els_a.basis, *els_b.basis]
     if _linalg.rank_field(make_field(field.q, 1), rows) < len(rows):
         raise ValueError("A and B intersect nontrivially")

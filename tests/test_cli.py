@@ -378,12 +378,16 @@ def test_table1_matches_golden_file(run, q, m, rho, golden):
     ("els", "--q", "2", "--n", "-1"),
     ("verify", "--suite", "macwilliams", "--trials", "0"),
     ("verify", "--suite", "macwilliams", "--trials", "-3"),
+    ("gabidulin", "--q", "2", "--m", "3", "--n", "0", "--k", "0"),
+    ("gabidulin", "--q", "2", "--m", "3", "--n", "-1", "--k", "1"),
 ], ids=["budget-0", "budget-negative", "ball-m-0", "ball-n-0",
-        "els-n-negative", "verify-trials-0", "verify-trials-negative"])
+        "els-n-negative", "verify-trials-0", "verify-trials-negative",
+        "gabidulin-n-0", "gabidulin-n-negative"])
 def test_bad_integers_exit_1(run, argv):
     # a zero budget once meant the default one, a negative budget or an
-    # empty field or ambient once printed an answer, and verify once passed
-    # "macwilliams oracle x-3" after checking nothing
+    # empty field or ambient once printed an answer, verify once passed
+    # "macwilliams oracle x-3" after checking nothing, and gabidulin --n 0
+    # once blamed "dimension 0 outside [1, 0]" on --k
     rc, out, err = run(*argv)
     assert (rc, out) == (1, "")
     assert "must be an integer >=" in err
@@ -521,21 +525,28 @@ def test_els_list_guard_exits_1(run, monkeypatch, argv):
 
 @pytest.mark.parametrize("argv,error", [
     ("rank --q 2 --m 2 --vec 1,2 --vec2 1,2,3",
-     "vectors of different lengths"),
+     "vector (1, 2, 3) has length 3, not 2"),
     ("gabidulin --q 2 --m 3 --n 2 --k 1 --g 3,9",
      "encoding 9 outside GF(2^3)"),
     ("gabidulin --q 2 --m 3 --n 2 --k 1 --g 3,3",
      "generator vector must have full rank n"),
     ("gabidulin --q 2 --m 3 --n 3 --k 1 --g 3,5",
-     "--g has 2 points, but --n is 3"),
+     "vector (3, 5) has length 2, not 3"),
     ("gabidulin --q 2 --m 3 --n 2 --k 1 --g 1,2,4 --check",
-     "--g has 3 points, but --n is 2"),
+     "vector (1, 2, 4) has length 3, not 2"),
     ("macwilliams --dist 1,0,3", "--dist needs explicit --q and --m"),
+    ("code --file @DIR@/range.code", "encoding 9 outside GF(2^3)"),
+    ("code --file @DIR@/short.code --format json",
+     "vector (1, 2) has length 2, not 3"),
 ], ids=["rank-vec2-length", "gabidulin-g-range", "gabidulin-g-dependent",
         "gabidulin-g-short", "gabidulin-g-long-check",
-        "macwilliams-dist-field"])
-def test_bad_vector_options_exit_1(run, argv, error):
-    assert run(*argv.split()) == (1, "", f"error: {error}\n")
+        "macwilliams-dist-field", "code-file-range", "code-file-short-row"])
+def test_bad_vector_options_exit_1(run, tmp_path, argv, error):
+    # GF(2^3) code files with an encoding past the field or a short row
+    (tmp_path / "range.code").write_text("2 3 3 1 1 1 0 1\n1 2 9\n")
+    (tmp_path / "short.code").write_text("2 3 3 1 1 1 0 1\n1 2\n")
+    argv = argv.replace("@DIR@", str(tmp_path)).split()
+    assert run(*argv) == (1, "", f"error: {error}\n")
 
 
 def test_search_deeper_than_recursion_limit_exits_0(run):

@@ -5,6 +5,7 @@ enumeration: scalar rank computations oracle the vectorized rank kernel,
 and covering radii are recomputed by a direct python double loop.
 """
 import itertools
+import re
 import time
 
 import numpy as np
@@ -49,7 +50,7 @@ def test_make_code_validation():
         cd.make_code(F, [(1, 2), (2, 3)])  # (2,3) = alpha*(1,2): dependent
     with pytest.raises(ValueError):
         cd.make_code(F, [(1, 2), (1,)])
-    with pytest.raises(ValueError, match="^encoding 4 outside field$"):
+    with pytest.raises(ValueError, match=r"^encoding 4 outside GF\(2\^2\)$"):
         cd.make_code(F, [(1, 4)])
     with pytest.raises(ValueError):
         cd.make_code(F, [])
@@ -59,11 +60,11 @@ def test_make_codebook_validation():
     F = make_field(2, 2)
     # encodings outside GF(4) are refused as make_code refuses them, not
     # ranked as if their high bits were digits
-    with pytest.raises(ValueError, match="^encoding 5 outside field$"):
+    with pytest.raises(ValueError, match=r"^encoding 5 outside GF\(2\^2\)$"):
         cd.make_codebook(F, [(0, 0), (5, 6)])
-    with pytest.raises(ValueError, match="^encoding -1 outside field$"):
+    with pytest.raises(ValueError, match=r"^encoding -1 outside GF\(3\^1\)$"):
         cd.make_codebook(make_field(3, 1), [(0, 2), (-1, 0)])
-    with pytest.raises(ValueError, match="^ragged codewords$"):
+    with pytest.raises(ValueError, match=r"^vector \(1,\) has length 1, not 2$"):
         cd.make_codebook(F, [(0, 0), (1,)])
     with pytest.raises(ValueError, match="^empty codebook$"):
         cd.make_codebook(F, [])
@@ -266,24 +267,28 @@ def test_scalar_code_api_refuses_bad_vectors():
     assert C.contains(C.encode((1, 2)))
     assert not C.contains((1, 0, 0))
     for word in [(0, 0), (0, 0, 0, 5)]:
-        with pytest.raises(ValueError, match=f"^word has length {len(word)}, "
-                                             "not n = 3$"):
+        with pytest.raises(ValueError, match=f"^vector {re.escape(str(word))} "
+                                             f"has length {len(word)}, not 3$"):
             C.contains(word)
     for word, bad in [((0, 0, 8), 8), ((0, -1, 0), -1)]:
-        with pytest.raises(ValueError, match=f"^encoding {bad} outside field$"):
+        with pytest.raises(ValueError,
+                           match=rf"^encoding {bad} outside GF\(2\^3\)$"):
             C.contains(word)
     for msg in [(1,), (1, 2, 3), ()]:
-        with pytest.raises(ValueError, match=r"^zip\(\) argument"):
+        with pytest.raises(ValueError, match=f"^vector {re.escape(str(msg))} "
+                                             f"has length {len(msg)}, not 2$"):
             C.encode(msg)
     for msg, bad in [((1, -1), -1), ((1, 99), 99)]:
-        with pytest.raises(ValueError, match=f"^encoding {bad} outside field$"):
+        with pytest.raises(ValueError,
+                           match=rf"^encoding {bad} outside GF\(2\^3\)$"):
             C.encode(msg)
-    with pytest.raises(ValueError, match=r"^zip\(\) argument"):
+    with pytest.raises(ValueError, match=r"^vector \(1,\) has length 1, not 2$"):
         cd.dot(F, (1, 2), (1,))
     # a full-length code has no parity checks, yet still checks its words
     full = cd.make_code(F, [(1, 0), (0, 1)])
     assert full.contains((5, 6))
-    with pytest.raises(ValueError, match="^word has length 3, not n = 2$"):
+    with pytest.raises(ValueError,
+                       match=r"^vector \(5, 6, 0\) has length 3, not 2$"):
         full.contains((5, 6, 0))
 
 
@@ -295,6 +300,19 @@ def test_min_distance_nonlinear_pairs():
     assert cd.min_rank_distance(book) == min(ds)
     single = cd.make_codebook(F, [(1, 1)])
     assert cd.min_rank_distance(single) is None
+
+
+def test_min_distance_codebook_guards_its_pairs(monkeypatch):
+    # the pairwise scan of a codebook once ran unbounded: 4096 words are
+    # 8386560 pairs, quadratic in the size, while no guard looked
+    book = cd.make_codebook(make_field(2, 2), [(0, 0), (1, 2), (2, 3),
+                                               (3, 1), (1, 1)])
+    monkeypatch.setattr(rg, "BRUTE_GUARD", 10)  # 5 words, 10 pairs
+    assert cd.min_rank_distance(book) == 1
+    monkeypatch.setattr(rg, "BRUTE_GUARD", 9)
+    with pytest.raises(rg.GuardExceeded,
+                       match="^codeword pair count 10 exceeds guard$"):
+        cd.min_rank_distance(book)
 
 
 def test_min_distance_codebook_ranks_chunks(monkeypatch):

@@ -327,15 +327,15 @@ def test_is_covering_rejects_malformed_centers():
     # zip once cut the short center (0,) to nothing, so it passed as a
     # covering of GF(4)^2, which no single ball of radius 1 is
     assert not oc.is_covering(2, 2, 2, [(0, 0)], 1)
-    with pytest.raises(ValueError, match=r"^center \(0,\) has length 1, "
-                                         r"not n = 2$"):
+    with pytest.raises(ValueError, match=r"^vector \(0,\) has length 1, "
+                                         r"not 2$"):
         oc.is_covering(2, 2, 2, [(0,)], 1)
-    with pytest.raises(ValueError, match="has length 3, not n = 2"):
+    with pytest.raises(ValueError, match="has length 3, not 2"):
         oc.is_covering(2, 2, 2, [(0, 0), (1, 2, 3)], 2)
     # encodings outside GF(4) once aliased: 4 read as 0, -1 as 3
     for bad in (4, -1, 7):
         with pytest.raises(ValueError,
-                           match=f"^encoding {bad} outside field$"):
+                           match=rf"^encoding {bad} outside GF\(2\^2\)$"):
             oc.is_covering(2, 2, 2, [(0, 0), (bad, 1)], 2)
 
 

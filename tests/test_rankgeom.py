@@ -6,6 +6,7 @@ oracles wherever the ambient space is desk-scale.
 import ast
 import itertools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rankmetric import _batch, _linalg
+from rankmetric import _batch, _linalg, cli
+from rankmetric import codes as cd
+from rankmetric import oracle as oc
 from rankmetric import rankgeom as rg
 from rankmetric.ffield import make_field
 
@@ -160,9 +163,11 @@ def test_rank_examples_gf4():
 ], ids=["above", "negative", "order"])
 def test_rank_rejects_encodings_outside_the_field(q, m, vec, bad):
     F = make_field(q, m)
-    with pytest.raises(ValueError, match=f"^encoding {bad} outside field$"):
+    with pytest.raises(ValueError,
+                       match=rf"^encoding {bad} outside GF\({q}\^{m}\)$"):
         rg.rank(F, vec)
-    with pytest.raises(ValueError, match=f"^encoding {bad} outside field$"):
+    with pytest.raises(ValueError,
+                       match=rf"^encoding {bad} outside GF\({q}\^{m}\)$"):
         rg.rank_distance(F, (0,) * len(vec), vec)
 
 
@@ -180,16 +185,18 @@ def test_rank_distance_negative_encoding_terminates():
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=20)
-    assert proc.stdout == "encoding -1 outside field\n"
+    assert proc.stdout == "encoding -1 outside GF(3^2)\n"
 
 
 def test_rank_distance_rejects_vectors_of_different_lengths():
     F = make_field(2, 3)
     for u, v in (((1, 2), (1,)), ((), (0,)), ((1,), (1, 0))):
-        with pytest.raises(ValueError, match="vectors of different lengths"):
+        with pytest.raises(ValueError, match=f"^vector {re.escape(str(v))} "
+                                             f"has length {len(v)}, "
+                                             f"not {len(u)}$"):
             rg.rank_distance(F, u, v)
     # a short center once counted as a ball of a shorter space (22 vectors)
-    with pytest.raises(ValueError, match="vectors of different lengths"):
+    with pytest.raises(ValueError, match=r"^vector \(1,\) has length 1, not 2$"):
         rg.intersection_volume_brute(F, [((0, 0), 1), ((1,), 1)])
 
 
@@ -300,16 +307,81 @@ def test_project_and_support_refuse_bad_vectors():
     B = rg.make_els(2, 3, [[0, 1, 0], [0, 0, 1]])
     assert rg.project(F, (1, 2, 7), A, B) == ((1, 0, 0), (0, 2, 7))
     for u in [(1, 2), (1, 2, 3, 4)]:
-        with pytest.raises(ValueError, match=f"^u has length {len(u)}, "
-                                             "not n = 3$"):
+        with pytest.raises(ValueError, match=f"^vector {re.escape(str(u))} "
+                                             f"has length {len(u)}, not 3$"):
             rg.project(F, u, A, B)
     for u, bad in [((1, 2, 99), 99), ((1, -1, 0), -1), ((8, 0, 0), 8)]:
-        with pytest.raises(ValueError, match=f"^encoding {bad} outside field$"):
+        with pytest.raises(ValueError,
+                           match=rf"^encoding {bad} outside GF\(2\^3\)$"):
             rg.project(F, u, A, B)
-    with pytest.raises(ValueError, match="^encoding 99 outside field$"):
+    with pytest.raises(ValueError, match=r"^encoding 99 outside GF\(2\^2\)$"):
         rg.support_els(make_field(2, 2), (99,))
-    with pytest.raises(ValueError, match="^encoding 4 outside field$"):
+    with pytest.raises(ValueError, match=r"^encoding 4 outside GF\(2\^2\)$"):
         rg.Els(2, 2, ((1, 0),)).contains(make_field(2, 2), (1, 4))
+
+
+F8 = make_field(2, 3)
+C8 = cd.gabidulin(F8, (1, 2, 4), 2)  # n = 3, k = 2
+A8 = rg.make_els(2, 3, [[1, 0, 0]])
+B8 = rg.make_els(2, 3, [[0, 1, 0], [0, 0, 1]])
+SHORT = "vector (1, 2) has length 2, not 3"
+RANGE = "encoding 9 outside GF(2^3)"
+
+# every entry point that takes outside vectors, fed a vector of the wrong
+# length and one with an encoding outside GF(2^3); a string is a CLI line.
+# rank and support_els take a vector of any length
+BOUNDARY_CASES = [
+    ("rank-range", lambda: rg.rank(F8, (1, 9)), RANGE),
+    ("rank_distance-length", lambda: rg.rank_distance(F8, (1, 2, 4), (1, 2)),
+     SHORT),
+    ("rank_distance-range", lambda: rg.rank_distance(F8, (1, 2), (1, 9)),
+     RANGE),
+    ("support_els-range", lambda: rg.support_els(F8, (9,)), RANGE),
+    ("project-length", lambda: rg.project(F8, (1, 2), A8, B8), SHORT),
+    ("project-range", lambda: rg.project(F8, (1, 2, 9), A8, B8), RANGE),
+    ("encode-length", lambda: C8.encode((1,)),
+     "vector (1,) has length 1, not 2"),
+    ("encode-range", lambda: C8.encode((1, 9)), RANGE),
+    ("contains-length", lambda: C8.contains((1, 2)), SHORT),
+    ("contains-range", lambda: C8.contains((1, 2, 9)), RANGE),
+    ("dot-length", lambda: cd.dot(F8, (1, 2, 4), (1, 2)), SHORT),
+    ("dot-range", lambda: cd.dot(F8, (1, 2), (1, 9)), RANGE),
+    ("make_code-length", lambda: cd.make_code(F8, [(1, 2, 4), (1, 2)]),
+     SHORT),
+    ("make_code-range", lambda: cd.make_code(F8, [(1, 2, 9)]), RANGE),
+    ("make_codebook-length",  # sorted first, (1, 2) sets the length
+     lambda: cd.make_codebook(F8, [(1, 2, 4), (1, 2)]),
+     "vector (1, 2, 4) has length 3, not 2"),
+    ("make_codebook-range", lambda: cd.make_codebook(F8, [(0, 0), (9, 1)]),
+     RANGE),
+    ("parse_code-length", lambda: cd.parse_code("2 3 3 1\n1 2\n"), SHORT),
+    ("parse_code-range", lambda: cd.parse_code("2 3 3 1\n1 2 9\n"), RANGE),
+    ("is_covering-length",
+     lambda: oc.is_covering(2, 3, 3, [(0, 0, 0), (1, 2)], 1), SHORT),
+    ("is_covering-range", lambda: oc.is_covering(2, 3, 2, [(0, 9)], 1),
+     RANGE),
+    ("cli-rank-length", "rank --q 2 --m 3 --vec 1,2,4 --vec2 1,2", SHORT),
+    ("cli-rank-range", "rank --q 2 --m 3 --vec 1,9", RANGE),
+    ("cli-gabidulin-length", "gabidulin --q 2 --m 3 --n 3 --k 1 --g 1,2",
+     SHORT),
+    ("cli-gabidulin-range", "gabidulin --q 2 --m 3 --n 3 --k 1 --g 1,2,9",
+     RANGE),
+]
+
+
+@pytest.mark.parametrize("call,message", [c[1:] for c in BOUNDARY_CASES],
+                         ids=[c[0] for c in BOUNDARY_CASES])
+def test_every_vector_boundary_gives_one_of_two_messages(capsys, call,
+                                                         message):
+    # nine hand-written checks once gave eight message shapes, among them
+    # "ragged codewords", "encoding 9 outside field" and zip()'s own
+    if isinstance(call, str):
+        assert cli.main(call.split()) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    else:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
 
 
 def test_guard_reads_the_cap_at_the_call(monkeypatch):
