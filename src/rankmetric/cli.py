@@ -82,8 +82,9 @@ def echo_range(r):
     return str(r.start) if len(r) == 1 else f"{r.start}..{r.stop - 1}"
 
 
-def parse_ints(text):
-    return tuple(int(t) for t in text.replace(",", " ").split())
+def parse_ints(text, option):
+    """The integers of an option's value, split at commas or spaces."""
+    return cd.ints(text.replace(",", " ").split(), option)
 
 
 def prime_power(text):
@@ -112,7 +113,8 @@ def int_at_least(lo):
 # ---------------------------------------------------------------------------
 
 def _field_from_args(args):
-    modulus = parse_ints(args.modulus) if args.modulus else None
+    modulus = (None if args.modulus is None
+               else parse_ints(args.modulus, "--modulus"))
     return make_field(args.q, args.m, modulus)
 
 
@@ -129,10 +131,10 @@ def cmd_field(args):
 
 def cmd_rank(args):
     F = _field_from_args(args)
-    vec = parse_ints(args.vec)
+    vec = parse_ints(args.vec, "--vec")
     if args.vec2 is None:
         return Answer([rg.rank(F, vec)])
-    return Answer([rg.rank_distance(F, vec, parse_ints(args.vec2))])
+    return Answer([rg.rank_distance(F, vec, parse_ints(args.vec2, "--vec2"))])
 
 
 def cmd_ball(args):
@@ -198,8 +200,8 @@ def cmd_code(args):
 
 def cmd_gabidulin(args):
     F = make_field(args.q, args.m)
-    if args.g:
-        g = parse_ints(args.g)
+    if args.g is not None:
+        g = parse_ints(args.g, "--g")
         rg.check_vectors(F, (g,), args.n)
     else:
         g = tuple(F.q ** i for i in range(args.n))  # polynomial basis slice
@@ -297,7 +299,7 @@ def _enumerator_from_args(args):
         return we.code_enumerator(code)
     if not args.dist:
         raise ValueError("need --code FILE or --dist plus --q/--m")
-    coeffs = parse_ints(args.dist)
+    coeffs = parse_ints(args.dist, "--dist")
     if args.q is None or args.m is None:
         raise ValueError("--dist needs explicit --q and --m")
     return we.make_enumerator(args.q, args.m, len(coeffs) - 1, coeffs)

@@ -418,22 +418,36 @@ def format_code(code):
     return "\n".join(lines) + "\n"
 
 
+def ints(tokens, where):
+    """The integers the tokens spell; a token that spells none raises
+    ValueError naming where it came from."""
+    out = []
+    for t in tokens:
+        try:
+            out.append(int(t))
+        except ValueError:
+            raise ValueError(f"{where}: {t!r} is not an integer") from None
+    return tuple(out)
+
+
 def parse_code(text):
-    lines = [ln for ln in text.splitlines()
+    # (line number, entries) of each line that is not blank or a comment;
+    # the number counts every line of the file
+    lines = [(i, ln.split()) for i, ln in enumerate(text.splitlines(), 1)
              if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines:
         raise ValueError("code file has no header line")
-    head = list(map(int, lines[0].split()))
+    head = ints(lines[0][1], f"code file line {lines[0][0]}")
     if len(head) < 4:
         raise ValueError("header needs q m n k [modulus]")
     q, m, n, k = head[:4]
     if not 0 <= k <= n:
         raise ValueError(f"header needs 0 <= k <= n, got n={n} k={k}")
-    modulus = tuple(head[4:]) if len(head) > 4 else None
+    modulus = head[4:] if len(head) > 4 else None
     field = make_field(q, m, modulus)
     if len(lines) != 1 + k:
         raise ValueError(f"expected {k} generator rows, got {len(lines) - 1}")
-    rows = [tuple(map(int, ln.split())) for ln in lines[1:]]
+    rows = [ints(tokens, f"code file line {i}") for i, tokens in lines[1:]]
     rankgeom.check_vectors(field, rows, n)
     if k == 0:
         return make_zero_code(field, n)

@@ -13,8 +13,8 @@ rejected.
 
 The modulus defaults to the monic irreducible polynomial of degree m whose
 coefficient tuple (c_0, ..., c_m), read as a base-q integer, is smallest.
-Irreducibility is certified by trial division against every monic polynomial
-of degree 1..m/2.
+Irreducibility is certified by Ben-Or's test: gcd(x^(q^i) - x, f) = 1 for
+every 1 <= i <= m/2.
 
 The tables come from a doubling walk from the smallest primitive encoding g:
 g^B..g^(2B-1) are g^0..g^(B-1) times c = g^B, and x -> c*x is GF(q)-linear,
@@ -27,7 +27,6 @@ one elimination of _linalg over GF(q) taken as the field GF(q^1).
 from __future__ import annotations
 
 import functools
-import itertools
 
 import numpy as np
 from mpmath.libmp import isprime
@@ -84,17 +83,44 @@ def is_prime_power(q):
     return False
 
 
+def _poly_mulmod(a, b, f, q):
+    """a * b mod f over GF(q) (lists, low degree first)."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    return _poly_rem([c % q for c in prod], f, q)
+
+
 @functools.cache
 def is_irreducible(coeffs, q):
-    """Irreducibility over GF(q) by trial division (monic input expected)."""
+    """Irreducibility over GF(q) by Ben-Or's test (monic input expected).
+
+    A monic f of degree m is reducible iff it has a factor of some degree
+    i <= m/2, and the monic irreducibles of degree dividing i are the
+    factors of x^(q^i) - x.  So f is irreducible iff gcd(x^(q^i) - x, f) = 1
+    for every 1 <= i <= m/2.  x^(q^i) mod f comes from x^(q^(i-1)) by one
+    q-th power, taken by square-and-multiply.
+    """
     m = len(coeffs) - 1
     if m < 1 or coeffs[-1] != 1:
         return False
-    for d in range(1, m // 2 + 1):
-        for lower in itertools.product(range(q), repeat=d):
-            den = list(lower) + [1]
-            if not _poly_rem(coeffs, den, q):
-                return False
+    f, h = list(coeffs), [0, 1]
+    for _ in range(m // 2):
+        p = h
+        for bit in bin(q)[3:]:
+            p = _poly_mulmod(p, p, f, q)
+            if bit == "1":
+                p = _poly_mulmod(p, h, f, q)
+        h = p
+        hx = h + [0] * (2 - len(h))  # h - x
+        hx[1] = (hx[1] - 1) % q
+        a, b = f, _poly_rem(hx, f, q)
+        while b:  # Euclid: a ends as gcd(h - x, f)
+            a, b = b, _poly_rem(a, b, q)
+        if len(a) > 1:
+            return False
     return True
 
 

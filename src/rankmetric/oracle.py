@@ -278,17 +278,67 @@ def greedy_covering(q, m, n, rho):
     return make_codebook(F, _verified(F, n, centers, rho, "greedy"))
 
 
+def _colour_classes(P, adj):
+    """Greedy colouring of the vertex set P (a bitmask): each class takes
+    the lowest uncoloured vertex not adjacent to those already in it.
+    Returns (v, colour) in order of rising colour, colours from 1."""
+    order, colour = [], 0
+    while P:
+        colour += 1
+        free = P
+        while free:
+            low = free & -free
+            v = low.bit_length() - 1
+            order.append((v, colour))
+            P ^= low
+            free &= ~adj[v] & ~low
+    return order
+
+
+def _max_clique(adj, budget):
+    """Size of a largest clique of the graph in which adj[v] is the bitmask
+    of the neighbours of v (no loops): Tomita and Seki's branch and bound.
+
+    A vertex set coloured with c independent classes holds no clique of
+    more than c vertices.  So a node holding a clique of size s and the
+    candidates P colours P greedily, walks P from the highest colour down,
+    and returns as soon as s plus a vertex's colour cannot beat the best
+    clique found; else it branches on the vertex and drops it from P.
+    Each node is counted on budget.
+    """
+    best = 0
+
+    def expand(size, P):
+        nonlocal best
+        # max_code_search's code is the clique plus the pinned zero vector
+        budget.visit(size, size + 1)
+        best = max(best, size)
+        for v, colour in reversed(_colour_classes(P, adj)):
+            if size + colour <= best:
+                return
+            expand(size + 1, P & adj[v])
+            P &= ~(1 << v)
+
+    expand(0, (1 << len(adj)) - 1)
+    return best
+
+
 def max_code_search(q, m, n, d, *, max_nodes=MAX_NODES):
     """Exact maximum cardinality of a code in GF(q^m)^n with minimum rank
     distance >= d, by maximum clique over the rank-distance graph.
 
-    Translation invariance pins the zero vector into the code, so the
-    clique search runs over the vectors of rank weight >= d with edges at
-    pairwise distance >= d (Bron-Kerbosch with pivoting).
+    Transposing the m x n expansions keeps every rank distance, so the
+    search runs on the n <= m orientation, where the clique search is
+    shortest.  Translation invariance pins the zero vector into the code,
+    so the clique search runs over the vectors of rank weight >= d with
+    edges at pairwise distance >= d, pruned by a greedy-colouring bound
+    (_max_clique).  No bound from the bounds module enters the search.
     """
     _check_params(q, m, n, 0)
     if d < 1:
         raise ValueError("distance must be positive")
+    if n > m:
+        m, n = n, m
     F = make_field(q, m)
     Q = F.order ** n
     if Q > CLIQUE_SPACE:
@@ -298,35 +348,8 @@ def max_code_search(q, m, n, d, *, max_nodes=MAX_NODES):
     verts = np.flatnonzero(tab >= d)  # the zero vector has rank 0 < d
     far = tab[_batch.sub(F, verts[:, None], verts)] >= d
     adj = [_bitmask(row) for row in far]  # the diagonal has distance 0
-
-    best = 0
     budget = _Budget(max_nodes, f"d={d}", "largest code found {}")
-
-    def bk(size, P, X):
-        nonlocal best
-        budget.visit(size, size + 1)  # the code is the clique plus zero
-        if P == 0 and X == 0:
-            best = max(best, size)
-            return
-        if size + P.bit_count() <= best:
-            return
-        # pivot on the candidate dominating the most of P
-        pivot = max(((P & adj[i]).bit_count(), i) for i in _bits(P | X))[1]
-        for i in _bits(P & ~adj[pivot]):
-            bit = 1 << i
-            bk(size + 1, P & adj[i], X & adj[i])
-            P &= ~bit
-            X |= bit
-
-    bk(0, (1 << len(adj)) - 1, 0)
-    return best + 1  # the pinned zero vector
-
-
-def _bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    return _max_clique(adj, budget) + 1  # the pinned zero vector
 
 
 def random_linear_code(q, m, n, k, seed=0):

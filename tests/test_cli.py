@@ -538,13 +538,34 @@ def test_els_list_guard_exits_1(run, monkeypatch, argv):
     ("code --file @DIR@/range.code", "encoding 9 outside GF(2^3)"),
     ("code --file @DIR@/short.code --format json",
      "vector (1, 2) has length 2, not 3"),
+    # an empty value once fell back to the default points or modulus
+    ("gabidulin --q 2 --m 3 --n 3 --k 1 --g=", "vector () has length 0, not 3"),
+    ("rank --q 2 --m 3 --vec 1 --modulus=",
+     "modulus must have degree 3 (4 coefficients)"),
+    # a non-integer entry once gave Python's "invalid literal for int()"
+    ("rank --q 2 --m 3 --vec x", "--vec: 'x' is not an integer"),
+    ("rank --q 2 --m 3 --vec 1 --vec2 1.5", "--vec2: '1.5' is not an integer"),
+    ("field --q 2 --m 3 --modulus 1,1,x,1", "--modulus: 'x' is not an integer"),
+    ("gabidulin --q 2 --m 3 --n 2 --k 1 --g 1,x", "--g: 'x' is not an integer"),
+    ("macwilliams --q 2 --m 2 --dist 1,x", "--dist: 'x' is not an integer"),
+    ("code --file @DIR@/word.code", "code file line 4: 'x' is not an integer"),
+    ("moments --code @DIR@/head.code",
+     "code file line 1: 'x' is not an integer"),
 ], ids=["rank-vec2-length", "gabidulin-g-range", "gabidulin-g-dependent",
         "gabidulin-g-short", "gabidulin-g-long-check",
-        "macwilliams-dist-field", "code-file-range", "code-file-short-row"])
+        "macwilliams-dist-field", "code-file-range", "code-file-short-row",
+        "gabidulin-g-empty", "rank-modulus-empty", "rank-vec-word",
+        "rank-vec2-fraction", "field-modulus-word", "gabidulin-g-word",
+        "macwilliams-dist-word", "code-file-row-word",
+        "moments-code-header-word"])
 def test_bad_vector_options_exit_1(run, tmp_path, argv, error):
-    # GF(2^3) code files with an encoding past the field or a short row
+    # GF(2^3) code files with an encoding past the field or a short row,
+    # and with a word in a row (after a comment and a blank line) or in
+    # the header
     (tmp_path / "range.code").write_text("2 3 3 1 1 1 0 1\n1 2 9\n")
     (tmp_path / "short.code").write_text("2 3 3 1 1 1 0 1\n1 2\n")
+    (tmp_path / "word.code").write_text("# GF(2^3)\n\n2 3 3 1 1 1 0 1\n1 x 2\n")
+    (tmp_path / "head.code").write_text("x 3 3 1\n1 2 4\n")
     argv = argv.replace("@DIR@", str(tmp_path)).split()
     assert run(*argv) == (1, "", f"error: {error}\n")
 

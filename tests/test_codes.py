@@ -858,6 +858,13 @@ def test_code_format_errors():
         cd.parse_code("2 2 2 1 1 1 1\n1 2\n3 1\n")  # extra row
     with pytest.raises(ValueError):
         cd.parse_code("2 2 2 1 1 1 1\n1 2 3\n")  # wrong row length
+    # a non-integer entry is named with its line, counting every line
+    with pytest.raises(ValueError,
+                       match=r"^code file line 4: 'x' is not an integer$"):
+        cd.parse_code("# header\n2 2 2 1 1 1 1\n\n1 x\n")
+    with pytest.raises(ValueError,
+                       match=r"^code file line 1: '2\.0' is not an integer$"):
+        cd.parse_code("2.0 2 2 1\n1 2\n")
     # comments and blank lines are tolerated
     C = cd.parse_code("# header\n2 2 2 1 1 1 1\n\n1 2\n")
     assert C.G == ((1, 2),)

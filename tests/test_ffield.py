@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 import rankmetric
 from rankmetric.ffield import (
     Field,
+    _poly_rem,
     default_modulus,
     field_from_descriptor,
     is_irreducible,
@@ -56,6 +57,29 @@ def brute_irreducible(coeffs, q):
                 if mul(f, g) == list(coeffs):
                     return False
     return True
+
+
+def trial_division_irreducible(coeffs, q):
+    """Reference irreducibility test: a monic f of degree m is reducible
+    iff a monic polynomial of degree 1..m/2 divides it."""
+    m = len(coeffs) - 1
+    if m < 1 or coeffs[-1] != 1:
+        return False
+    for d in range(1, m // 2 + 1):
+        for lower in itertools.product(range(q), repeat=d):
+            if not _poly_rem(coeffs, list(lower) + [1], q):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("q,top", [(2, 6), (3, 4), (5, 3)])
+def test_ben_or_matches_trial_division(q, top):
+    # every monic polynomial of degree 0..top
+    for m in range(top + 1):
+        for lower in itertools.product(range(q), repeat=m):
+            coeffs = (*lower, 1)
+            assert is_irreducible(coeffs, q) == trial_division_irreducible(
+                coeffs, q), coeffs
 
 
 def test_default_moduli_frozen():

@@ -103,9 +103,17 @@ def test_greedy_covering_nonbinary():
 
 
 def test_max_code_search_matches_singleton():
-    for d in range(1, 5):
-        assert oc.max_code_search(2, 2, 2, d) \
-            == bd.singleton_max_cardinality(2, 2, 2, d)
+    # every shape within CLIQUE_SPACE, decided within 200,000 nodes; the
+    # search uses no bound, so agreeing with Singleton is a real check.
+    # Bron-Kerbosch with pivoting left (2,4,2,2) and (2,2,4,2) undecided
+    shapes = [(q, m, n) for q in (2, 3, 5) for m in range(1, 9)
+              for n in range(1, 9) if q ** (m * n) <= oc.CLIQUE_SPACE]
+    cells = [(*shape, d) for shape in shapes
+             for d in range(1, min(shape[1:]) + 2)]
+    assert sum(d <= min(m, n) for q, m, n, d in cells) == 41
+    for cell in cells:
+        assert oc.max_code_search(*cell, max_nodes=200_000) \
+            == bd.singleton_max_cardinality(*cell), cell
 
 
 def test_max_code_search_antitone_and_nonbinary():
@@ -119,6 +127,38 @@ def test_max_code_search_antitone_and_nonbinary():
         oc.max_code_search(2, 2, 2, 0)
     with pytest.raises(oc.InconclusiveSearch):
         oc.max_code_search(2, 3, 3, 2)
+
+
+def _brute_max_clique(adj):
+    """Largest clique size by a pass over every vertex subset S: S is a
+    clique iff S minus its lowest vertex v is one and lies in adj[v]."""
+    clique = [True]
+    for S in range(1, 1 << len(adj)):
+        v, rest = (S & -S).bit_length() - 1, S & (S - 1)
+        clique.append(clique[rest] and rest & ~adj[v] == 0)
+    return max(bin(S).count("1") for S, ok in enumerate(clique) if ok)
+
+
+def test_max_clique_against_brute_force():
+    for seed in range(50):
+        rng = random.Random(seed)
+        nv, density = rng.randint(0, 12), 0.3 + 0.6 * seed / 49
+        adj = [0] * nv
+        for u, v in itertools.combinations(range(nv), 2):
+            if rng.random() < density:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+        budget = oc._Budget(oc.MAX_NODES, "test", "{}")
+        assert oc._max_clique(adj, budget) == _brute_max_clique(adj), seed
+
+
+@pytest.mark.parametrize("q,m,n,d,value,nodes", [
+    (2, 2, 2, 2, 4, 4), (2, 2, 3, 2, 8, 12), (2, 3, 2, 2, 8, 12),
+    (3, 2, 2, 2, 9, 9), (2, 4, 2, 2, 16, 581), (2, 2, 4, 2, 16, 581)])
+def test_max_code_search_node_counts(q, m, n, d, value, nodes):
+    # the n <= m orientation, the vertex order and the colouring fix the
+    # number of nodes a search expands
+    assert _recorded(oc.max_code_search, q, m, n, d) == (value, [nodes])
 
 
 def test_max_code_search_witnessless_value_vs_known_mrd():
@@ -171,10 +211,10 @@ def _min_covering(q, m, n, rho):
 
 
 @functools.cache
-def _recorded_decision(q, m, n, rho, K):
-    """exhaustive_min_covering(q, m, n, rho, K) and the node count of each
-    search budget it opened.  Cached, so the 43,944-node decision of
-    (2, 4, 2, 1, K=8) runs once for the tests that read it."""
+def _recorded(search, *args):
+    """search(*args) and the node count of each search budget it opened.
+    Cached, so the 43,944-node decision of (2, 4, 2, 1, K=8) runs once for
+    the tests that read it."""
     budgets = []
 
     class Recorded(oc._Budget):
@@ -183,15 +223,15 @@ def _recorded_decision(q, m, n, rho, K):
             budgets.append(self)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(oc, "_Budget", Recorded)
-        dec = oc.exhaustive_min_covering(q, m, n, rho, K)
-    return dec, [b.nodes for b in budgets]
+        out = search(*args)
+    return out, [b.nodes for b in budgets]
 
 
 def test_exhaustive_covering_settles_frontier_cell():
     # the published table leaves K_R(2^4, 2, 1) in [7, 8]
     assert bd.covering_report(2, 4, 2, 1).interval() == (7, 8)
     assert not oc.exhaustive_min_covering(2, 4, 2, 1, 7).exists
-    dec = _recorded_decision(2, 4, 2, 1, 8)[0]
+    dec = _recorded(oc.exhaustive_min_covering, 2, 4, 2, 1, 8)[0]
     assert dec.exists and len(dec.witness) == 8
     assert oc.is_covering(2, 4, 2, dec.witness, 1)
 
@@ -230,7 +270,7 @@ def test_exhaustive_covering_against_brute_force(q, m, n, rho):
 def test_is_covering_rejects_a_minimum_covering_minus_one(q, m, n, rho, K):
     # K = K_R here, so dropping any one center of a minimum covering
     # leaves some vector uncovered
-    words = _recorded_decision(q, m, n, rho, K)[0].witness
+    words = _recorded(oc.exhaustive_min_covering, q, m, n, rho, K)[0].witness
     assert oc.is_covering(q, m, n, words, rho)
     for i in range(K):
         assert not oc.is_covering(q, m, n, words[:i] + words[i + 1:], rho)
@@ -375,6 +415,6 @@ def test_is_covering_independent_of_array_kernels(monkeypatch, q, m, n, rho):
 def test_exhaustive_covering_node_counts(q, m, n, rho, K, exists, nodes):
     # the candidate order, the two pruning rules and the undo fix the
     # number of nodes a decision expands
-    dec, budget_nodes = _recorded_decision(q, m, n, rho, K)
+    dec, budget_nodes = _recorded(oc.exhaustive_min_covering, q, m, n, rho, K)
     assert dec.exists == exists
     assert budget_nodes == [nodes]
