@@ -166,27 +166,25 @@ def covering_upper(q, m, n, rho):
 
 def _split_gains(m, n):
     """rho -> max sum rho_i (n_i - rho_i) over the feasible splits of (n,
-    rho), None if there are none.  One DP over (length, radius) for every
-    rho; parts are unordered so compositions and partitions coincide.  A
-    row reads only the rows above it, so each m keeps one table and grows
-    it only as far as the largest n asked for."""
-    best = _gain_rows(m)
-    for used_n in range(len(best), n + 1):
-        best.append([max(
-            (best[used_n - a][used_r - r] + r * (a - r)
-             for a in range(1, used_n + 1)
-             for r in range(max(0, used_r - used_n + a),
-                            min(a, used_r, m - a) + 1)
-             if best[used_n - a][used_r - r] >= 0), default=-1)
-            for used_r in range(used_n + 1)])
-    return tuple(None if g < 0 else g for g in best[n])
+    rho), None if there are none."""
+    return tuple(None if g < 0 else g for g in _gain_row(m, n))
 
 
-@functools.lru_cache(maxsize=64)
-def _gain_rows(m):
-    """The DP rows of _split_gains for one m, grown in place by it; row
-    used_n holds used_r = 0..used_n, -1 where no split exists."""
-    return [[0]]
+@functools.cache
+def _gain_row(m, n):
+    """Row n of one DP over (length, radius) for every rho: used_r = 0..n ->
+    the best gain, -1 where no split exists.  Parts are unordered so
+    compositions and partitions coincide.  A row reads only the rows above
+    it, so each (m, row) is built once, and only up to the n asked for."""
+    if n == 0:
+        return (0,)
+    best = [_gain_row(m, used_n) for used_n in range(n)]
+    return tuple([max(
+        (best[n - a][used_r - r] + r * (a - r)
+         for a in range(1, n + 1)
+         for r in range(max(0, used_r - n + a), min(a, used_r, m - a) + 1)
+         if best[n - a][used_r - r] >= 0), default=-1)
+        for used_r in range(n + 1)])
 
 
 def _t_floors(Q, W, prec):

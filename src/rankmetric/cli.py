@@ -249,7 +249,7 @@ def _report_fields(rep):
 def _grid(args):
     """A table command's (m, n, rho) ranges and its config echo."""
     m_range = parse_range(args.m)
-    n_range = parse_range(args.n) if args.n else m_range
+    n_range = parse_range(args.n) if args.n is not None else m_range
     rho_range = parse_range(args.rho)
     if min(m_range.start, n_range.start) < 1 or rho_range.start < 0:
         raise ValueError("need m, n >= 1 and rho >= 0")
@@ -294,7 +294,7 @@ def cmd_table2(args):
 # ---------------------------------------------------------------------------
 
 def _enumerator_from_args(args):
-    if args.code:
+    if args.code is not None:
         code = cd.read_code(args.code)
         return we.code_enumerator(code)
     if not args.dist:

@@ -8,8 +8,9 @@ encodings 0..q-1, and alpha itself is the encoding q.
 
 Multiplication uses log/antilog tables for fields up to 2^16 elements and
 schoolbook polynomial arithmetic above that (both paths implemented, and
-checked against each other in the test suite).  Fields larger than 2^20 are
-rejected.
+checked against each other in the test suite).  At odd q the schoolbook
+product is _poly_mulmod, the one product modulo a monic polynomial, which
+Ben-Or's test uses too.  Fields larger than 2^20 are rejected.
 
 The modulus defaults to the monic irreducible polynomial of degree m whose
 coefficient tuple (c_0, ..., c_m), read as a base-q integer, is smallest.
@@ -84,13 +85,21 @@ def is_prime_power(q):
 
 
 def _poly_mulmod(a, b, f, q):
-    """a * b mod f over GF(q) (lists, low degree first)."""
+    """a * b mod the monic f over GF(q) (sequences, low degree first), at
+    most deg f coefficients.  Each top coefficient, taken mod q, is
+    cancelled by a multiple of f; the rest are taken mod q at the end."""
+    m = len(f) - 1
     prod = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 prod[i + j] += x * y
-    return _poly_rem([c % q for c in prod], f, q)
+    for i in range(len(prod) - 1, m - 1, -1):
+        c = prod[i] % q
+        if c:
+            for k in range(m):
+                prod[i - m + k] -= c * f[k]
+    return [c % q for c in prod[:m]]
 
 
 @functools.cache
@@ -247,8 +256,9 @@ class Field:
         return a ^ b if self.q == 2 else self._digitwise(a, b, -1)
 
     def _mul_raw(self, a, b):
-        """Schoolbook polynomial multiplication with reduction by the modulus.
-        A negative operand, which q = 2 would shift forever, raises."""
+        """Schoolbook polynomial multiplication with reduction by the modulus:
+        a shift-and-xor loop at q = 2, _poly_mulmod at odd q.  A negative
+        operand, which q = 2 would shift forever, raises."""
         if a < 0 or b < 0:
             raise ValueError(f"{min(a, b)} is not an element encoding of "
                              f"GF({self.q}^{self.m})")
@@ -262,20 +272,8 @@ class Field:
                 if b & self._top:
                     b ^= self._modint
             return r
-        q, m = self.q, self.m
-        da, db = self.digits(a), self.digits(b)
-        prod = [0] * (2 * m - 1)
-        for i, ca in enumerate(da):
-            if ca:
-                for j, cb in enumerate(db):
-                    prod[i + j] = (prod[i + j] + ca * cb) % q
-        for i in range(2 * m - 2, m - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for k in range(m):
-                    prod[i - m + k] = (prod[i - m + k] - c * self.modulus[k]) % q
-        return self.from_digits(prod[:m])
+        return self.from_digits(_poly_mulmod(
+            self.digits(a), self.digits(b), self.modulus, self.q))
 
     def mul(self, a, b):
         """a * b for encodings a, b in [0, q^m).  The table path checks

@@ -5,8 +5,8 @@ implements the machinery that makes the rank-metric MacWilliams identity
 work: the q-product of homogeneous polynomials with parametric coefficients,
 the q-transform, q- and q^{-1}-derivatives (with their Leibniz rules checked
 in the tests), generalized Krawtchouk polynomials, the MacWilliams transform
-itself (two independent evaluation paths), dual-of-vector enumerators, and
-the two moment identities of the rank distribution.
+itself (one transform, two kernels), dual-of-vector enumerators, and the
+two moment identities of the rank distribution.
 
 All arithmetic is exact.  Coefficients live in the rationals with q-power
 denominators (q^{-1}-derivatives introduce them); every enumerator-level
@@ -256,24 +256,30 @@ def code_enumerator(code):
 
 def krawtchouk(j, i, m, n, q):
     """P_j(i;m,n) = sum_l [i l][n-i, j-l](-1)^l q^{sigma_l} q^{l(n-i)}
-    alpha(m-l, j-l): the expansion coefficients of b_i * a_{n-i} and the
-    kernel of the MacWilliams transform.  Exact integer."""
+    alpha(m-l, j-l) in integers (a Fraction term only where m - l < 0): the
+    expansion coefficients of b_i * a_{n-i}, the MacWilliams kernel."""
     if not (0 <= i <= n and 0 <= j <= n):
         raise ValueError(f"indices ({i},{j}) outside [0, {n}]")
-    total = Fraction(0)
-    for l in range(min(i, j) + 1):
-        term = Fraction(gaussian(i, l, q) * gaussian(n - i, j - l, q))
-        term *= (-1) ** l * q ** (sigma(l) + l * (n - i))
-        term *= alpha_frac(m - l, j - l, q)
-        total += term
-    return as_int(total)
+    return as_int(sum(
+        gaussian(i, l, q) * gaussian(n - i, j - l, q) * (-1) ** l
+        * q ** (sigma(l) + l * (n - i)) * alpha_frac(m - l, j - l, q)
+        for l in range(min(i, j) + 1)))
 
 
 @functools.cache
 def krawtchouk_table(q, m, n):
-    """P[j][i] for 0 <= i, j <= n, cached for transform reuse."""
+    """P[j][i] for 0 <= i, j <= n from the closed form, cached."""
     return tuple(tuple(krawtchouk(j, i, m, n, q) for i in range(n + 1))
                  for j in range(n + 1))
+
+
+@functools.cache
+def qproduct_table(q, m, n):
+    """The same kernel P[j][i] by the q-product: column i holds the
+    coefficients of (x-y)^{[i]} * [x+(q^m-1)y]^{[n-i]} at m, cached."""
+    cols = [q_product(b_family(i, q), a_family(n - i, q)).coeffs(m)
+            for i in range(n + 1)]
+    return tuple(tuple(as_int(c) for c in row) for row in zip(*cols))
 
 
 # ---------------------------------------------------------------------------
@@ -297,29 +303,22 @@ def _code_dimension(enum):
 
 
 def macwilliams(enum, method="krawtchouk"):
-    """Rank distribution of the dual code:
-    B_j = q^{-mk} sum_i A_i P_j(i;m,n).
-
-    `method="qproduct"` evaluates the equivalent form
-    q^{-mk} sum_i A_i (x-y)^{[i]} * [x+(q^m-1)y]^{[n-i]} instead; the two
-    agree exactly.  Applying the transform twice returns the input."""
+    """Rank distribution of the dual code by the one transform
+    B_j = q^{-mk} sum_i A_i P[j][i].  The kernel P is Delsarte's Krawtchouk
+    closed form (krawtchouk_table) or, with `method="qproduct"`, the paper's
+    q-product expansion (qproduct_table); the two agree exactly.  Applying
+    the transform twice returns the input."""
     q, m, n = enum.q, enum.m, enum.n
     k = _code_dimension(enum)
-    scale = Fraction(1, (q ** m) ** k)
     if method == "krawtchouk":
         P = krawtchouk_table(q, m, n)
-        B = [scale * sum(enum.coeffs[i] * P[j][i] for i in range(n + 1))
-             for j in range(n + 1)]
     elif method == "qproduct":
-        B = [Fraction(0)] * (n + 1)
-        for i in range(n + 1):
-            if not enum.coeffs[i]:
-                continue
-            prod = q_product(b_family(i, q), a_family(n - i, q))
-            for j in range(n + 1):
-                B[j] += scale * enum.coeffs[i] * prod.coeff(j, m)
+        P = qproduct_table(q, m, n)
     else:
         raise ValueError(f"unknown method {method!r}")
+    size = (q ** m) ** k
+    B = [Fraction(sum(a * p for a, p in zip(enum.coeffs, row)), size)
+         for row in P]
     try:
         return make_enumerator(q, m, n, B)
     except ValueError as e:
@@ -345,11 +344,9 @@ def dual_vector_enumerator(r, n, q, m):
     q^{-m} { a_n + (q^m - 1) b_r * a_{n-r} }."""
     if not 0 <= r <= min(m, n):
         raise ValueError(f"rank {r} outside [0, min(m,n)]")
-    qm = q ** m
-    a_n = a_family(n, q)
-    cross = q_product(b_family(r, q), a_family(n - r, q))
-    coeffs = [Fraction(a_n.coeff(u, m) + (qm - 1) * cross.coeff(u, m), qm)
-              for u in range(n + 1)]
+    qm = q ** m  # column 0 of the q-product kernel is a_n itself
+    coeffs = [Fraction(row[0] + (qm - 1) * row[r], qm)
+              for row in qproduct_table(q, m, n)]
     return make_enumerator(q, m, n, coeffs)
 
 

@@ -361,8 +361,8 @@ def test_mixed_bound_against_split_enumeration():
 
 
 def test_split_gains_one_dp_per_m():
-    # a DP row reads only the rows above it, so the rows a table grows for
-    # one m answer every n, in any order of asking, as a DP to n alone does
+    # a DP row reads only the rows above it, so the cached rows of one m
+    # answer every n, in any order of asking, as a DP to n alone does
     def gains_alone(m, n):
         best = [[-1] * (n + 1) for _ in range(n + 1)]
         best[0][0] = 0
@@ -375,24 +375,26 @@ def test_split_gains_one_dp_per_m():
                      if best[used_n - a][used_r - r] >= 0), default=-1)
         return tuple(None if g < 0 else g for g in best[n])
 
-    bd._gain_rows.cache_clear()
+    bd._gain_row.cache_clear()
     for m in range(1, 21):
         for n in [3, 1, m, m + 4, 2, m + 2]:
             assert bd._split_gains(m, n) == gains_alone(m, n), (m, n)
-    bd._gain_rows.cache_clear()
+    # each (m, row) pair is built once: rows 0..m for every m in 2..24
+    bd._gain_row.cache_clear()
     for m in range(2, 25):
         for n in range(2, m + 1):
             bd._split_gains(m, n)
-    assert bd._gain_rows.cache_info().misses == 23
+    assert bd._gain_row.cache_info().misses == sum(
+        m + 1 for m in range(2, 25))
 
 
 def test_split_gains_grows_only_to_the_n_asked():
     # a narrow n under a large m costs what a DP to n alone costs
-    bd._gain_rows.cache_clear()
+    bd._gain_row.cache_clear()
     bd._split_gains(60, 3)
-    assert len(bd._gain_rows(60)) == 4
+    assert bd._gain_row.cache_info().misses == 4
     bd._split_gains(60, 5)
-    assert len(bd._gain_rows(60)) == 6
+    assert bd._gain_row.cache_info().misses == 6
 
 
 # ---------------------------------------------------------------------------

@@ -542,6 +542,10 @@ def test_els_list_guard_exits_1(run, monkeypatch, argv):
     ("gabidulin --q 2 --m 3 --n 3 --k 1 --g=", "vector () has length 0, not 3"),
     ("rank --q 2 --m 3 --vec 1 --modulus=",
      "modulus must have degree 3 (4 coefficients)"),
+    ("table1 --m 2..3 --n=", "bad range ''; use N or LO..HI"),
+    ("table2 --m 2..3 --n=", "bad range ''; use N or LO..HI"),
+    ("macwilliams --code= --q 2 --m 3 --dist 1,0,7",
+     "[Errno 2] No such file or directory: ''"),
     # a non-integer entry once gave Python's "invalid literal for int()"
     ("rank --q 2 --m 3 --vec x", "--vec: 'x' is not an integer"),
     ("rank --q 2 --m 3 --vec 1 --vec2 1.5", "--vec2: '1.5' is not an integer"),
@@ -554,7 +558,8 @@ def test_els_list_guard_exits_1(run, monkeypatch, argv):
 ], ids=["rank-vec2-length", "gabidulin-g-range", "gabidulin-g-dependent",
         "gabidulin-g-short", "gabidulin-g-long-check",
         "macwilliams-dist-field", "code-file-range", "code-file-short-row",
-        "gabidulin-g-empty", "rank-modulus-empty", "rank-vec-word",
+        "gabidulin-g-empty", "rank-modulus-empty", "table1-n-empty",
+        "table2-n-empty", "macwilliams-code-empty", "rank-vec-word",
         "rank-vec2-fraction", "field-modulus-word", "gabidulin-g-word",
         "macwilliams-dist-word", "code-file-row-word",
         "moments-code-header-word"])

@@ -201,22 +201,27 @@ def test_generator_is_smallest_primitive(q, m, generator):
 
 
 def test_large_field_no_tables():
-    x, y = 0b1011011101111011, 12345
-    for q, m in [(2, 20), (3, 11), (5, 7)]:
+    # mul is _mul_raw here, at odd q the one product modulo a monic
+    # polynomial: field identities on 50 seeded elements of each field
+    rng = random.Random(5)
+    for q, m in [(2, 20), (3, 11), (3, 12), (5, 7), (5, 8)]:
         F = make_field(q, m)
         assert F._log is None
-        assert F.mul(x, F.inv(x)) == 1
-        assert F.pow(x, F.order - 1) == 1
-        assert F.frobenius(x, F.m) == x
-        assert F.frobenius(x, -1) == F.frobenius(x, F.m - 1)
-        # Frobenius is the q-power map, additive and multiplicative
-        assert F.frobenius(x) == functools.reduce(F.mul, [x] * q)
-        assert F.frobenius(F.frobenius(F.frobenius(x))) == F.frobenius(x, 3)
-        assert F.frobenius(F.add(x, y), 2) == \
-            F.add(F.frobenius(x, 2), F.frobenius(y, 2))
-        assert F.frobenius(F.mul(x, y), 2) == \
-            F.mul(F.frobenius(x, 2), F.frobenius(y, 2))
         assert F.frobenius(0, 5) == 0 and F.frobenius(q - 1, 5) == q - 1
+        for _ in range(50):
+            x, y = rng.randrange(1, F.order), rng.randrange(F.order)
+            assert F.mul(x, F.inv(x)) == 1
+            assert F.pow(x, F.order - 1) == 1
+            assert F.frobenius(x, F.m) == x
+            assert F.frobenius(x, -1) == F.frobenius(x, F.m - 1)
+            # Frobenius is the q-power map, additive and multiplicative
+            assert F.frobenius(x) == functools.reduce(F.mul, [x] * q)
+            assert F.frobenius(F.frobenius(F.frobenius(x))) \
+                == F.frobenius(x, 3)
+            assert F.frobenius(F.add(x, y), 2) == \
+                F.add(F.frobenius(x, 2), F.frobenius(y, 2))
+            assert F.frobenius(F.mul(x, y), 2) == \
+                F.mul(F.frobenius(x, 2), F.frobenius(y, 2))
 
 
 def test_gf2_tables():

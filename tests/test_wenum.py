@@ -323,6 +323,18 @@ def test_krawtchouk_frozen_values():
     assert w.krawtchouk_table(2, 2, 2) is w.krawtchouk_table(2, 2, 2)
 
 
+def test_qproduct_kernel_equals_krawtchouk_kernel():
+    # the paper's q-product expansion and Delsarte's closed form are one
+    # MacWilliams kernel: equal in plain ints on every cell, n > m included
+    for q in (2, 3, 4, 5):
+        for m in range(1, 6):
+            for n in range(7):
+                P, Q = w.krawtchouk_table(q, m, n), w.qproduct_table(q, m, n)
+                assert Q == P, (q, m, n)
+                assert {type(p) for T in (P, Q) for row in T for p in row} \
+                    == {int}
+
+
 def test_krawtchouk_initial_conditions():
     for q in (2, 3):
         for n in range(6):
