@@ -19,15 +19,17 @@ The exact covering search prunes by two rules that lose no covering:
   falls short of what is left uncovered holds no covering.
 
 Vectors in GF(q^m)^n are packed into integers by _batch.pack, the odometer
-convention the code enumerators use; a search ranks its own ambient with
-_batch.rank_words, uncached, and builds balls with _batch.balls, shared
-with the covering radius.  Every witness is re-checked by is_covering,
+convention the code enumerators use; a covering search ranks its own
+ambient with _batch.rank_words, keeping the ball around 0 of the last two
+shapes searched (_ball), and builds balls with _batch.balls, shared with
+the covering radius.  Every witness is re-checked by is_covering,
 which stays independent of _batch and numpy: it ranks one vector per class
 {a*v : a in GF(q^m)*} with scalar rankgeom.rank, since rank(a*v) = rank(v),
 and marks the balls around the centers in a byte map.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -86,6 +88,17 @@ class CoveringDecision:
     witness: Optional[tuple] = None
 
 
+@functools.lru_cache(maxsize=2)
+def _ball(q, m, n, rho):
+    """The ball of radius rho around 0 in GF(q^m)^n as packed encodings, a
+    read-only array: a minimum-covering scan asks for it once per K."""
+    F = make_field(q, m)
+    offsets = np.flatnonzero(np.concatenate([
+        _batch.rank_words(F, xs) for xs in _batch.vector_chunks(F.order, n)]) <= rho)
+    offsets.flags.writeable = False
+    return offsets
+
+
 def _covering_state(q, m, n, rho):
     """Start of a covering search: the field, the ambient size Q, the ball
     of radius rho around 0 as encodings, every vector uncovered, and every
@@ -95,8 +108,7 @@ def _covering_state(q, m, n, rho):
     Q = F.order ** n
     if Q > MAX_SPACE:
         raise InconclusiveSearch(f"ambient size {Q} exceeds budget")
-    offsets = np.flatnonzero(np.concatenate([
-        _batch.rank_words(F, xs) for xs in _batch.vector_chunks(F.order, n)]) <= rho)
+    offsets = _ball(q, m, n, rho)
     gains = np.full(Q, len(offsets), dtype=np.int64)
     return F, Q, offsets, np.ones(Q, dtype=bool), gains
 
@@ -179,7 +191,7 @@ def is_covering(q, m, n, centers, rho):
                     v = [F.mul(a, x) for x in rep]
                     for c in centers:
                         covered[index(map(F.add, c, v))] = 1
-    return all(covered)
+    return 0 not in covered
 
 
 def _verified(F, n, centers, rho, search):
@@ -304,16 +316,22 @@ def _max_clique(adj, budget):
     candidates P colours P greedily, walks P from the highest colour down,
     and returns as soon as s plus a vertex's colour cannot beat the best
     clique found; else it branches on the vertex and drops it from P.
-    Each node is counted on budget.
+    Where every vertex of P gets its own colour, P is a clique and the
+    node adds all of it at once.  Each node is counted on budget.
     """
     best = 0
 
     def expand(size, P):
         nonlocal best
+        classes = _colour_classes(P, adj)
+        if classes and classes[-1][1] == len(classes):
+            # one vertex per colour: P is a clique, as each class kept only
+            # its lowest vertex, to which every later vertex is adjacent
+            size, classes = size + len(classes), []
         # max_code_search's code is the clique plus the pinned zero vector
         budget.visit(size, size + 1)
         best = max(best, size)
-        for v, colour in reversed(_colour_classes(P, adj)):
+        for v, colour in reversed(classes):
             if size + colour <= best:
                 return
             expand(size + 1, P & adj[v])

@@ -153,12 +153,33 @@ def test_max_clique_against_brute_force():
 
 
 @pytest.mark.parametrize("q,m,n,d,value,nodes", [
-    (2, 2, 2, 2, 4, 4), (2, 2, 3, 2, 8, 12), (2, 3, 2, 2, 8, 12),
-    (3, 2, 2, 2, 9, 9), (2, 4, 2, 2, 16, 581), (2, 2, 4, 2, 16, 581)])
+    (2, 2, 2, 2, 4, 2), (2, 2, 3, 2, 8, 10), (2, 3, 2, 2, 8, 10),
+    (3, 2, 2, 2, 9, 5), (2, 4, 2, 2, 16, 579), (2, 2, 4, 2, 16, 579)])
 def test_max_code_search_node_counts(q, m, n, d, value, nodes):
     # the n <= m orientation, the vertex order and the colouring fix the
     # number of nodes a search expands
     assert _recorded(oc.max_code_search, q, m, n, d) == (value, [nodes])
+
+
+def test_covering_searches_share_one_read_only_ball():
+    # a minimum-covering scan asks for the same ball once per K: it is
+    # ranked once and kept read-only, while the state a search changes is
+    # made fresh on every call
+    oc._ball.cache_clear()
+    F, Q, offsets, unc, gains = oc._covering_state(3, 2, 2, 1)
+    assert not offsets.flags.writeable
+    assert oc.greedy_covering(3, 2, 2, 1).size >= 5
+    again = oc._covering_state(3, 2, 2, 1)
+    assert again[2] is offsets and again[3].all()
+    assert (again[4] == len(offsets)).all()
+    assert oc._ball.cache_info().maxsize == 2
+
+
+@pytest.mark.parametrize("q,m,n", [(2, 1, 8), (2, 2, 4), (3, 2, 2)])
+def test_max_code_search_complete_graph_in_one_node(q, m, n):
+    # at d = 1 every pair of vertices is adjacent, so the first colouring
+    # gives each vertex its own colour and the root takes the whole clique
+    assert oc.max_code_search(q, m, n, 1, max_nodes=1) == q ** (m * n)
 
 
 def test_max_code_search_witnessless_value_vs_known_mrd():

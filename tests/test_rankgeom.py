@@ -773,6 +773,59 @@ def test_batch_add_sub_match_field_on_elements_and_packed_vectors(q, m, n):
         assert _batch.unpack(F.order, packed, n).tolist() == want
 
 
+def _digitwise_reference(q, a, b, sign):
+    """a + sign * b one base-q digit at a time, on Python ints."""
+    out, scale = 0, 1
+    while scale <= max(a, b):
+        out += (a // scale % q + sign * (b // scale % q)) % q * scale
+        scale *= q
+    return out
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_batch_add_sub_match_per_digit_reference(q):
+    # the block lookups of _batch._digitwise against one digit at a time:
+    # an outer broadcast as balls makes it, packed vectors against
+    # elements (operands of unequal digit width, more than one block), and
+    # 0-d operands
+    F = make_field(q, 3)
+    rng = np.random.default_rng(q)
+    packed = rng.integers(0, F.order ** 4, size=40)
+    packed[:3] = [0, F.order ** 4 - 1, _batch._block_table(q, 1)[0]]
+    elements = rng.integers(0, F.order, size=30)
+    elements[:2] = [0, F.order - 1]
+    cases = [(packed[:, None], elements), (elements[:, None], packed),
+             (packed[:, None], packed[:25])]
+    for op, sign in ((_batch.add, 1), (_batch.sub, -1)):
+        for a, b in cases:
+            got = op(F, a, b)
+            assert got.shape == (len(a), len(b)) and got.dtype == np.int64
+            assert got.tolist() == [
+                [_digitwise_reference(q, x, y, sign) for y in b.tolist()]
+                for x in a[:, 0].tolist()]
+        for x, y in ((int(packed[5]), int(elements[7])), (0, 0),
+                     (int(elements[3]), 3 ** 30 + 7)):
+            got = op(F, np.array(x), np.array(y))
+            assert got.shape == () and int(got) == _digitwise_reference(
+                q, x, y, sign)
+
+
+@pytest.mark.parametrize("q,m,n,rho", [(3, 3, 2, 1), (5, 2, 2, 1)])
+def test_balls_match_scalar_field_add(q, m, n, rho):
+    # every translate c + o that balls yields is Field.add on each
+    # coordinate of the unpacked c and o
+    F = make_field(q, m)
+    vectors = _batch.unpack(F.order, np.arange(F.order ** n), n).tolist()
+    offsets = np.flatnonzero([rg.rank(F, v) <= rho for v in vectors])
+    rng = np.random.default_rng(q * 10 + m)
+    centers = rng.integers(0, F.order ** n, size=12)
+    rows = np.concatenate(list(_batch.balls(F, offsets, centers)))
+    assert rows.shape == (len(centers), len(offsets))
+    cs, os_ = (_batch.unpack(F.order, x, n).tolist() for x in (centers, offsets))
+    want = [[list(map(F.add, c, o)) for o in os_] for c in cs]
+    assert [_batch.unpack(F.order, row, n).tolist() for row in rows] == want
+
+
 @pytest.mark.parametrize("q,m,n", [(2, 5, 4), (2, 3, 6), (2, 8, 8),
                                    (3, 4, 4), (3, 2, 5), (5, 3, 3),
                                    (5, 2, 4)])
