@@ -25,12 +25,14 @@ shapes searched (_ball), and builds balls with _batch.balls, shared with
 the covering radius.  Every witness is re-checked by is_covering,
 which stays independent of _batch and numpy: it ranks one vector per class
 {a*v : a in GF(q^m)*} with scalar rankgeom.rank, since rank(a*v) = rank(v),
-and marks the balls around the centers in a byte map.
+and marks the ball around 0, chunk by chunk, around every center in a byte
+map through per-coordinate tables of sums; it caches nothing across calls.
 """
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -78,6 +80,9 @@ class _Budget:
 MAX_SPACE = 1 << 20
 CLIQUE_SPACE = 1 << 8
 MAX_NODES = 1 << 22
+# Coordinates of ball vectors that is_covering marks around the centers at
+# once: its memory beside the byte map.
+COVER_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -159,10 +164,16 @@ def is_covering(q, m, n, centers, rho):
     GF(q)-linear bijection of GF(q^m), so it multiplies the m x n expansion
     of v on the left by an invertible matrix.  The scan therefore ranks one
     representative per class {a*v : a != 0}, the vector whose first nonzero
-    coordinate is 1, and where that rank is at most rho marks c + a*v for
-    every a != 0 and every center c, after marking each c itself.  That is
-    (q^{mn} - 1)/(q^m - 1) ranks and K * V_rho marks in a map of q^{mn}
-    bytes, indexed by the base-q^m digits of a vector.
+    coordinate is 1, and where that rank is at most rho collects a*v for
+    every a != 0 into the ball around 0.  Each chunk of at most COVER_CHUNK
+    coordinates of that ball is marked around every center in a map of
+    q^{mn} bytes, indexed by the base-q^m digits of a vector.  The marking
+    loops over the smaller of the centers and the chunk, and gives each
+    coordinate of its vector a table of the sums with every value the
+    other side holds there (with all of GF(q^m) once that side holds q^m
+    vectors or more).  That is (q^{mn} - 1)/(q^m - 1) ranks, at most
+    n adds per center and ball vector, K * V_rho table lookups per
+    coordinate, and O(COVER_CHUNK) memory beside the byte map.
 
     Guarded by the ambient size q^{mn}.  Raises ValueError for a center
     whose length is not n or with an entry outside [0, q^m).
@@ -173,24 +184,35 @@ def is_covering(q, m, n, centers, rho):
     centers = [tuple(int(x) for x in c) for c in centers]
     check_vectors(F, centers, n)
     Q = F.order
-
-    def index(v):
-        i = 0
-        for x in v:
-            i = i * Q + x
-        return i
-
     covered = bytearray(Q ** n)
-    for c in centers:
-        covered[index(c)] = 1
+    scales = [Q ** (n - 1 - i) for i in range(n)]
+
+    def mark(outer, inner):
+        """Mark x + y for every x in outer and y in inner: coordinate i
+        adds F.add(x_i, y_i) * Q^(n-1-i) to the index of x + y."""
+        # a column of Q or more entries costs no more adds in a table over
+        # all of GF(q^m), and needs no set
+        columns = [(col, range(Q) if len(col) >= Q else set(col))
+                   for col in zip(*inner)]
+        add_maps = functools.partial(map, operator.add)
+        for x in outer:
+            shifted = [map({b: F.add(xi, b) * scale for b in values}.__getitem__,
+                           col)
+                       for xi, (col, values), scale in zip(x, columns, scales)]
+            for i in functools.reduce(add_maps, shifted):
+                covered[i] = 1
+
+    ball = [(0,) * n]  # marks each center itself
     for lead in range(n):
         for tail in itertools.product(F.elements(), repeat=n - lead - 1):
             rep = (0,) * lead + (1,) + tail
             if rank(F, rep) <= rho:
                 for a in range(1, Q):
-                    v = [F.mul(a, x) for x in rep]
-                    for c in centers:
-                        covered[index(map(F.add, c, v))] = 1
+                    ball.append(tuple(F.mul(a, x) for x in rep))
+                    if len(ball) * n >= COVER_CHUNK:
+                        mark(*sorted((centers, ball), key=len))
+                        ball = []
+    mark(*sorted((centers, ball), key=len))
     return 0 not in covered
 
 
@@ -224,6 +246,8 @@ def exhaustive_min_covering(q, m, n, rho, K, *, max_nodes=MAX_NODES):
     upward from a lower bound.  Raises InconclusiveSearch, saying how far
     the search got, when the node budget runs out.
     """
+    if K < 0:
+        raise ValueError("negative covering size")
     F, Q, offsets, unc, gains = _covering_state(q, m, n, rho)
     if K < 1:
         return CoveringDecision(False)

@@ -555,6 +555,9 @@ def test_els_list_guard_exits_1(run, monkeypatch, argv):
     ("code --file @DIR@/word.code", "code file line 4: 'x' is not an integer"),
     ("moments --code @DIR@/head.code",
      "code file line 1: 'x' is not an integer"),
+    # a negative size once printed "exists: false" and exited 0
+    ("search --what covering --q 2 --m 2 --n 2 --rho 1 --K -1",
+     "negative covering size"),
 ], ids=["rank-vec2-length", "gabidulin-g-range", "gabidulin-g-dependent",
         "gabidulin-g-short", "gabidulin-g-long-check",
         "macwilliams-dist-field", "code-file-range", "code-file-short-row",
@@ -562,7 +565,7 @@ def test_els_list_guard_exits_1(run, monkeypatch, argv):
         "table2-n-empty", "macwilliams-code-empty", "rank-vec-word",
         "rank-vec2-fraction", "field-modulus-word", "gabidulin-g-word",
         "macwilliams-dist-word", "code-file-row-word",
-        "moments-code-header-word"])
+        "moments-code-header-word", "search-covering-negative-K"])
 def test_bad_vector_options_exit_1(run, tmp_path, argv, error):
     # GF(2^3) code files with an encoding past the field or a short row,
     # and with a word in a row (after a comment and a blank line) or in

@@ -10,7 +10,8 @@ from rankmetric import _linalg
 from rankmetric import bounds as bd
 from rankmetric import oracle as oc
 from rankmetric import rankgeom as rg
-from rankmetric.codes import min_rank_distance
+from rankmetric.codes import (codewords, covering_radius, make_code,
+                              min_rank_distance)
 from rankmetric.ffield import make_field
 from rankmetric.rankgeom import rank
 
@@ -44,6 +45,9 @@ def test_exhaustive_covering_trivia():
     assert not oc.exhaustive_min_covering(2, 2, 2, 1, 0).exists
     with pytest.raises(ValueError):
         oc.exhaustive_min_covering(2, 2, 2, -1, 3)
+    # a negative size once read as "no covering"
+    with pytest.raises(ValueError, match="^negative covering size$"):
+        oc.exhaustive_min_covering(2, 2, 2, 1, -1)
 
 
 def test_exhaustive_covering_more_centers_than_vectors():
@@ -341,16 +345,23 @@ def _covers_pairwise(q, m, n, centers, rho):
     return all(min(row) <= rho for row in dists)
 
 
+# the same center sets come back for every chunk size
+_covers_pairwise_once = functools.cache(_covers_pairwise)
+
+
 def _expansion_distance(F, u, v):
     """The GF(q)-rank of the m x n expansion of u - v."""
     return _linalg.rank_field(make_field(F.q, 1), F.expand(
         tuple(F.sub(a, b) for a, b in zip(u, v))))
 
 
-@pytest.mark.parametrize("q,m,n,rho,trials", [
+PAIRWISE_SHAPES = pytest.mark.parametrize("q,m,n,rho,trials", [
     (2, 2, 2, 1, 24), (2, 3, 2, 1, 12), (3, 2, 2, 1, 12), (5, 2, 2, 1, 6),
     (2, 1, 3, 0, 6), (2, 2, 3, 1, 9), (3, 2, 3, 1, 3), (2, 3, 3, 2, 6),
     (2, 2, 2, 2, 3)])
+
+
+@PAIRWISE_SHAPES
 def test_is_covering_matches_pairwise_scan(q, m, n, rho, trials):
     # random sets around the greedy size: plain samples, the greedy covering
     # with one center swapped for a random vector, and with one added; then
@@ -371,17 +382,64 @@ def test_is_covering_matches_pairwise_scan(q, m, n, rho, trials):
             centers[rng.randrange(len(centers))] = vector()
         else:
             centers = greedy + [vector()]
-        want = _covers_pairwise(q, m, n, centers, rho)
+        want = _covers_pairwise_once(q, m, n, tuple(centers), rho)
         assert oc.is_covering(q, m, n, centers, rho) == want
         assert oc.is_covering(q, m, n, np.array(centers), rho) == want
         seen.add(want)
     short = greedy[:-1] + greedy[:1]  # one center dropped, one repeated
-    want = _covers_pairwise(q, m, n, short, rho)
+    want = _covers_pairwise_once(q, m, n, tuple(short), rho)
     assert oc.is_covering(q, m, n, short, rho) == want
     seen.add(want)
     # at rho = min(m, n) one ball is everything, so only no centers fails
     assert seen == ({True} if rho == min(m, n) else {True, False})
     assert not oc.is_covering(q, m, n, [], rho)
+
+
+@PAIRWISE_SHAPES
+def test_is_covering_matches_pairwise_scan_in_small_chunks(
+        monkeypatch, q, m, n, rho, trials):
+    # chunks of one coordinate and of one vector mark each ball vector on
+    # its own, and 2n + 1 every third one, so that the ball chunk and the
+    # centers each end up the smaller side
+    for cap in (1, n, 2 * n + 1):
+        monkeypatch.setattr(oc, "COVER_CHUNK", cap)
+        test_is_covering_matches_pairwise_scan(q, m, n, rho, trials)
+
+
+@pytest.mark.parametrize("q,m,n", [(2, 1, 4), (2, 2, 3), (3, 1, 3), (5, 2, 2)])
+def test_is_covering_radius_zero_needs_every_vector(monkeypatch, q, m, n):
+    # at rho = 0 the ball is {0}, smaller than the centers: every vector
+    # covers, and every vector but one leaves exactly that one uncovered
+    space = list(itertools.product(range(q ** m), repeat=n))
+    for cap in (1, n, 2 * n + 1, oc.COVER_CHUNK):
+        monkeypatch.setattr(oc, "COVER_CHUNK", cap)
+        assert oc.is_covering(q, m, n, space, 0)
+        for i in (0, 1, len(space) // 2, len(space) - 1):
+            assert not oc.is_covering(q, m, n, space[:i] + space[i + 1:], 0)
+        assert oc.is_covering(q, m, n, space[::-1], 0)
+
+
+def _systematic_code(q, m, n, k, seed):
+    """Seeded linear code over GF(q^m) with generator [I_k | R]."""
+    F = make_field(q, m)
+    rng = random.Random(seed)
+    return make_code(F, [[int(i == j) for j in range(k)]
+                         + [rng.randrange(F.order) for _ in range(n - k)]
+                         for i in range(k)])
+
+
+@pytest.mark.parametrize("q,m,n,k,seed", [(3, 3, 3, 1, 5), (2, 4, 4, 2, 11)])
+def test_is_covering_agrees_with_array_covering_radius(q, m, n, k, seed):
+    # past the pairwise scan's reach: the codewords of a seeded code cover
+    # at its covering radius, which the array kernels compute, and not one
+    # below it
+    code = _systematic_code(q, m, n, k, seed)
+    words = list(codewords(code))
+    assert len(words) == q ** (m * k)
+    rho = covering_radius(code)
+    assert rho >= 1
+    assert oc.is_covering(q, m, n, words, rho)
+    assert not oc.is_covering(q, m, n, words, rho - 1)
 
 
 def test_is_covering_rejects_malformed_centers():
