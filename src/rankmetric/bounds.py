@@ -154,7 +154,7 @@ def covering_upper(q, m, n, rho):
     _check_rho(q, n, rho)
     Q = q ** (m * n)
     _, V_rho = ball_counts(q, m, n, rho)
-    gain = _split_gains(m, n)[rho]
+    gain = _gain_row(m, n)[rho]
     return {
         "A": q ** (m * (n - rho)),
         "B": q ** (max(m - rho, n) * (n - rho)),
@@ -164,16 +164,11 @@ def covering_upper(q, m, n, rho):
     }
 
 
-def _split_gains(m, n):
-    """rho -> max sum rho_i (n_i - rho_i) over the feasible splits of (n,
-    rho), None if there are none."""
-    return tuple(None if g < 0 else g for g in _gain_row(m, n))
-
-
 @functools.cache
 def _gain_row(m, n):
     """Row n of one DP over (length, radius) for every rho: used_r = 0..n ->
-    the best gain, -1 where no split exists.  Parts are unordered so
+    the best gain max sum rho_i (n_i - rho_i) over the feasible splits of
+    (n, used_r), None where no split exists.  Parts are unordered so
     compositions and partitions coincide.  A row reads only the rows above
     it, so each (m, row) is built once, and only up to the n asked for."""
     if n == 0:
@@ -183,7 +178,7 @@ def _gain_row(m, n):
         (best[n - a][used_r - r] + r * (a - r)
          for a in range(1, n + 1)
          for r in range(max(0, used_r - n + a), min(a, used_r, m - a) + 1)
-         if best[n - a][used_r - r] >= 0), default=-1)
+         if best[n - a][used_r - r] is not None), default=None)
         for used_r in range(n + 1)])
 
 

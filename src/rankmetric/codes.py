@@ -53,13 +53,13 @@ class LinearCode:
     def encode(self, msg):
         """Codeword sum_i msg_i * G_i of a message of k encodings; any other
         message raises ValueError."""
-        rankgeom.check_vectors(self.field, (msg,), self.k)
+        msg, = rankgeom.check_vectors(self.field, (msg,), self.k)
         return _linalg.lincomb(self.field, msg, self.G, self.n)
 
     def contains(self, word):
         """Membership via the parity checks H . word = 0; a word not in
         GF(q^m)^n raises ValueError."""
-        rankgeom.check_vectors(self.field, (word,), self.n)
+        word, = rankgeom.check_vectors(self.field, (word,), self.n)
         return all(dot(self.field, h, word) == 0 for h in dual(self).G)
 
     def __repr__(self):
@@ -89,16 +89,14 @@ class Codebook:
 
 def make_code(field, G):
     """LinearCode from generator rows; rejects dependent rows."""
-    G = tuple(tuple(int(x) for x in row) for row in G)
-    if G:
-        n = len(G[0])
-        rankgeom.check_vectors(field, G, n)
-        if _linalg.rank_field(field, [list(r) for r in G]) < len(G):
-            raise ValueError("generator rows are dependent")
-    else:
+    G = tuple(G)
+    if not G:
         raise ValueError("empty generator needs an explicit length; "
                          "use make_zero_code")
-    return LinearCode(field, n, G)
+    G = rankgeom.check_vectors(field, G, len(G[0]))
+    if _linalg.rank_field(field, [list(r) for r in G]) < len(G):
+        raise ValueError("generator rows are dependent")
+    return LinearCode(field, len(G[0]), G)
 
 
 def make_zero_code(field, n):
@@ -107,11 +105,10 @@ def make_zero_code(field, n):
 
 
 def make_codebook(field, words):
-    words = sorted({tuple(int(x) for x in w) for w in words})
+    words = sorted(set(map(tuple, words)))
     if not words:
         raise ValueError("empty codebook")
-    rankgeom.check_vectors(field, words, len(words[0]))
-    return Codebook(field, tuple(words))
+    return Codebook(field, rankgeom.check_vectors(field, words, len(words[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +237,7 @@ def dual(code):
 
 
 def dot(field, u, v):
-    rankgeom.check_vectors(field, (u, v), len(u))
+    u, v = rankgeom.check_vectors(field, (u, v), len(u))
     return _linalg.lincomb(field, u, [(b,) for b in v], 1)[0]
 
 
@@ -301,12 +298,12 @@ def gabidulin(field, g, k, a=1):
     with [i] the a*i-fold Frobenius x -> x^{q^{ai}}.  Requires n <= m,
     gcd(a, m) = 1 and g of full rank n; the result is MRD (d_R = n - k + 1).
     """
-    g = tuple(int(x) for x in g)
     n = len(g)
     if n > field.m:
         raise ValueError(f"length {n} exceeds extension degree {field.m}")
     if math.gcd(a, field.m) != 1:
         raise ValueError(f"Frobenius power {a} not coprime to m={field.m}")
+    g, = rankgeom.check_vectors(field, (g,), n)
     if rankgeom.rank(field, g) < n:
         raise ValueError("generator vector must have full rank n")
     if not 1 <= k <= n:

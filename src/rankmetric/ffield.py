@@ -28,6 +28,7 @@ one elimination of _linalg over GF(q) taken as the field GF(q^1).
 from __future__ import annotations
 
 import functools
+import operator
 
 import numpy as np
 from mpmath.libmp import isprime
@@ -167,7 +168,7 @@ class Field:
         if modulus is None:
             modulus = default_modulus(q, m)
         else:
-            modulus = tuple(int(c) for c in modulus)
+            modulus = tuple(map(operator.index, modulus))
             if len(modulus) != m + 1:
                 raise ValueError(f"modulus must have degree {m} ({m + 1} coefficients)")
             if any(not 0 <= c < q for c in modulus):
@@ -437,7 +438,7 @@ def make_field(q, m, modulus=None):
     file or a descriptor is the object make_field(q, m) returns.
     """
     if modulus is not None:
-        modulus = tuple(modulus)
+        modulus = tuple(map(operator.index, modulus))
         # other q and m are left for Field to reject with its message
         if q in SUPPORTED_Q and m >= 1 and modulus == default_modulus(q, m):
             modulus = None

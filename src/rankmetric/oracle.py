@@ -165,24 +165,23 @@ def is_covering(q, m, n, centers, rho):
     of v on the left by an invertible matrix.  The scan therefore ranks one
     representative per class {a*v : a != 0}, the vector whose first nonzero
     coordinate is 1, and where that rank is at most rho collects a*v for
-    every a != 0 into the ball around 0.  Each chunk of at most COVER_CHUNK
-    coordinates of that ball is marked around every center in a map of
-    q^{mn} bytes, indexed by the base-q^m digits of a vector.  The marking
-    loops over the smaller of the centers and the chunk, and gives each
-    coordinate of its vector a table of the sums with every value the
-    other side holds there (with all of GF(q^m) once that side holds q^m
-    vectors or more).  That is (q^{mn} - 1)/(q^m - 1) ranks, at most
-    n adds per center and ball vector, K * V_rho table lookups per
+    every a != 0, v itself for a = 1, into the ball around 0.  Each chunk of
+    at most COVER_CHUNK coordinates of that ball is marked around every
+    center in a map of q^{mn} bytes, indexed by the base-q^m digits of a
+    vector.  The marking loops over the smaller of the centers and the chunk,
+    and gives each coordinate of its vector a table of the sums with every
+    value the other side holds there (with all of GF(q^m) once that side
+    holds q^m vectors or more).  That is (q^{mn} - 1)/(q^m - 1) ranks, at
+    most n adds per center and ball vector, K * V_rho table lookups per
     coordinate, and O(COVER_CHUNK) memory beside the byte map.
 
-    Guarded by the ambient size q^{mn}.  Raises ValueError for a center
-    whose length is not n or with an entry outside [0, q^m).
+    Guarded by the ambient size q^{mn}.  Centers pass check_vectors: a
+    non-integer entry raises TypeError, a bad length or encoding ValueError.
     """
     _check_params(q, m, n, rho)
     F = make_field(q, m)
     guard(F.order ** n, "ambient size")
-    centers = [tuple(int(x) for x in c) for c in centers]
-    check_vectors(F, centers, n)
+    centers = check_vectors(F, centers, n)
     Q = F.order
     covered = bytearray(Q ** n)
     scales = [Q ** (n - 1 - i) for i in range(n)]
@@ -208,7 +207,8 @@ def is_covering(q, m, n, centers, rho):
             rep = (0,) * lead + (1,) + tail
             if rank(F, rep) <= rho:
                 for a in range(1, Q):
-                    ball.append(tuple(F.mul(a, x) for x in rep))
+                    ball.append(rep if a == 1
+                                else tuple(F.mul(a, x) for x in rep))
                     if len(ball) * n >= COVER_CHUNK:
                         mark(*sorted((centers, ball), key=len))
                         ball = []

@@ -10,14 +10,16 @@ analog of coordinate supports), and exact ball-intersection volumes (closed
 forms where proved, brute force otherwise).  Every exhaustive scan, here and
 in codes and oracle, is sized by guard(count, what) against BRUTE_GUARD, and
 every vector that comes from outside, here and in codes, oracle and cli,
-passes check_vectors(field, rows, n), the one length and encoding check.
+passes check_vectors(field, rows, n), their one int conversion and check.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath
 
@@ -62,12 +64,19 @@ def gaussian(n, k, q):
     return out
 
 
+def q_int_pow(q, e):
+    """q^e as an exact int (e >= 0) or Fraction (e < 0)."""
+    return q ** e if e >= 0 else Fraction(1, q ** (-e))
+
+
 @functools.cache
 def alpha(m, u, q):
-    """alpha(m,u) = prod_{i<u} (q^m - q^i): u-tuples of independent vectors in GF(q)^m."""
-    out = 1
+    """alpha(m,u) = prod_{i<u} (q^m - q^i): u-tuples of independent vectors in
+    GF(q)^m.  Exact for every integer m: an int for m >= 0, a Fraction for
+    m < 0, where the q-products of wenum evaluate it."""
+    out = Fraction(1) if m < 0 else 1
     for i in range(u):
-        out *= q ** m - q ** i
+        out *= q_int_pow(q, m) - q ** i
     return out
 
 
@@ -145,26 +154,31 @@ def ball_volume_bounds(q, m, n, r):
 # ---------------------------------------------------------------------------
 
 def check_vectors(field, rows, n):
-    """Refuse a row whose length is not n or with an entry outside [0, q^m),
-    the encodings of field: the one check of vectors from outside.  Plain
+    """The rows as tuples of Python ints: the one conversion and check of
+    vectors from outside.  An entry goes through operator.index, so numpy
+    integers pass and 1.5 or Fraction(1) raise TypeError; a row whose length
+    is not n, or with an entry outside [0, q^m), raises ValueError.  Plain
     loops: encode and rank call this on every vector."""
+    out = []
     for r in rows:
+        r = tuple(map(operator.index, r))
         if len(r) != n:
-            raise ValueError(f"vector {tuple(r)} has length {len(r)}, not {n}")
+            raise ValueError(f"vector {r} has length {len(r)}, not {n}")
         for x in r:
             if not 0 <= x < field.order:
                 raise ValueError(f"encoding {x} outside GF({field.q}^{field.m})")
+        out.append(r)
+    return tuple(out)
 
 
 def rank(field, vec):
     """Rank weight: GF(q)-rank of the m x n expansion of vec, or of its n
-    digit rows.  Raises ValueError for an entry outside [0, q^m).
+    digit rows.  A bad entry raises check_vectors' TypeError or ValueError.
 
     At q = 2 an encoding is the bitmask of its digit row, and the rows go
     into an XOR basis with one row per leading bit.  At odd q one nonzero
     row at a time clears its leading column from the others, mod q."""
-    vec = tuple(int(x) for x in vec)  # tolerate numpy integers
-    check_vectors(field, (vec,), len(vec))
+    vec, = check_vectors(field, (vec,), len(vec))
     q = field.q
     if q == 2:
         basis = {}
@@ -194,7 +208,7 @@ def rank(field, vec):
 def rank_distance(field, u, v):
     """Rank weight of u - v.  Raises ValueError for vectors of different
     lengths or an entry outside [0, q^m)."""
-    check_vectors(field, (u, v), len(u))
+    u, v = check_vectors(field, (u, v), len(u))
     return rank(field, tuple(field.sub(a, b) for a, b in zip(u, v)))
 
 
@@ -248,7 +262,7 @@ class Els:
 def make_els(q, n, rows):
     """Canonical ELS spanned by the given integer rows, read mod q
     (row-reduced, deduped).  Raises ValueError for a row not of length n."""
-    rows = [[int(x) % q for x in row] for row in rows]
+    rows = [[operator.index(x) % q for x in row] for row in rows]
     if any(len(row) != n for row in rows):
         raise ValueError(f"ELS rows must have length n = {n}")
     rref, _ = _linalg.rref_field(make_field(q, 1), rows)
@@ -274,7 +288,7 @@ def enumerate_els(q, n, v):
 def support_els(field, vec):
     """The unique ELS of dimension rank(vec) containing vec: the GF(q)-row
     space of the expansion, lifted back to GF(q^m)^n."""
-    check_vectors(field, (vec,), len(vec))
+    vec, = check_vectors(field, (vec,), len(vec))
     return make_els(field.q, len(vec), field.expand(vec))
 
 
@@ -301,7 +315,7 @@ def project(field, u, els_a, els_b):
     field.  Raises if u is not in GF(q^m)^n, A and B intersect, or u lies
     outside A+B.
     """
-    check_vectors(field, (u,), els_a.n)
+    u, = check_vectors(field, (u,), els_a.n)
     rows = [*els_a.basis, *els_b.basis]
     if _linalg.rank_field(make_field(field.q, 1), rows) < len(rows):
         raise ValueError("A and B intersect nontrivially")

@@ -20,35 +20,22 @@ basic hypergeometric series; no such closed form is used here.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rankgeom import alpha, beta, gaussian, sigma
-
-
-def q_int_pow(q, e):
-    """q^e as an exact int (e >= 0) or Fraction (e < 0)."""
-    return q ** e if e >= 0 else Fraction(1, q ** (-e))
-
-
-def alpha_frac(m, u, q):
-    """alpha(m,u) = prod_{i<u}(q^m - q^i), total over all integer m."""
-    if m >= 0:
-        return alpha(m, u, q)
-    out = Fraction(1)
-    qm = Fraction(1, q ** (-m))
-    for i in range(u):
-        out *= qm - q ** i
-    return out
+from .rankgeom import alpha, beta, gaussian, q_int_pow, sigma
 
 
 def as_int(x):
-    """Exact conversion to int; rejects genuinely fractional values."""
+    """Exact conversion to int: an integer, or a Fraction with denominator
+    1.  Raises ValueError for any other Fraction and TypeError for any other
+    non-integer, a float among them."""
     if isinstance(x, Fraction):
         if x.denominator != 1:
             raise ValueError(f"non-integral value {x}")
-        return int(x)
-    return int(x)
+        return x.numerator
+    return operator.index(x)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +141,7 @@ def a_family(l, q):
     """a_l = [x+(q^m-1)y]^{[l]} = sum_u [l u] alpha(m,u) y^u x^{l-u}; this is
     the rank weight enumerator of the whole space GF(q^m)^l."""
     return ParametricPoly(
-        q, l, lambda u, m: gaussian(l, u, q) * alpha_frac(m, u, q))
+        q, l, lambda u, m: gaussian(l, u, q) * alpha(m, u, q))
 
 
 def b_family(l, q):
@@ -262,7 +249,7 @@ def krawtchouk(j, i, m, n, q):
         raise ValueError(f"indices ({i},{j}) outside [0, {n}]")
     return as_int(sum(
         gaussian(i, l, q) * gaussian(n - i, j - l, q) * (-1) ** l
-        * q ** (sigma(l) + l * (n - i)) * alpha_frac(m - l, j - l, q)
+        * q ** (sigma(l) + l * (n - i)) * alpha(m - l, j - l, q)
         for l in range(min(i, j) + 1)))
 
 
@@ -394,6 +381,6 @@ def moments(A, B, q, m, n, k, nu):
                for i in range(nu, n + 1))
     rhs2 = q_int_pow(q, m * (k - nu)) * sum(
         gaussian(n - j, n - nu, q) * (-1) ** j * q ** (sigma(j) + j * (nu - j))
-        * alpha_frac(m - j, nu - j, q) * B[j]
+        * alpha(m - j, nu - j, q) * B[j]
         for j in range(nu + 1))
     return tuple(_exact(v) for v in (lhs1, rhs1, lhs2, rhs2))

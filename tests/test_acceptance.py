@@ -178,7 +178,7 @@ def _kraw_recurrence(j, i, m, n, q, memo):
         if j == 0:
             out = Fraction(1)
         elif i == 0:
-            out = Fraction(rg.gaussian(n, j, q)) * we.alpha_frac(m, j, q)
+            out = Fraction(rg.gaussian(n, j, q)) * we.alpha(m, j, q)
         else:
             out = (q ** j * _kraw_recurrence(j, i - 1, m - 1, n - 1, q, memo)
                    - q ** (j - 1)

@@ -356,7 +356,7 @@ def test_mixed_bound_against_split_enumeration():
     for m in range(2, 6):
         for n in range(1, 6):
             for rho in range(0, n + 1):
-                assert bd._split_gains(m, n)[rho] \
+                assert bd._gain_row(m, n)[rho] \
                     == brute_gain(m, n, rho), (m, n, rho)
 
 
@@ -378,12 +378,12 @@ def test_split_gains_one_dp_per_m():
     bd._gain_row.cache_clear()
     for m in range(1, 21):
         for n in [3, 1, m, m + 4, 2, m + 2]:
-            assert bd._split_gains(m, n) == gains_alone(m, n), (m, n)
+            assert bd._gain_row(m, n) == gains_alone(m, n), (m, n)
     # each (m, row) pair is built once: rows 0..m for every m in 2..24
     bd._gain_row.cache_clear()
     for m in range(2, 25):
         for n in range(2, m + 1):
-            bd._split_gains(m, n)
+            bd._gain_row(m, n)
     assert bd._gain_row.cache_info().misses == sum(
         m + 1 for m in range(2, 25))
 
@@ -391,9 +391,9 @@ def test_split_gains_one_dp_per_m():
 def test_split_gains_grows_only_to_the_n_asked():
     # a narrow n under a large m costs what a DP to n alone costs
     bd._gain_row.cache_clear()
-    bd._split_gains(60, 3)
+    bd._gain_row(60, 3)
     assert bd._gain_row.cache_info().misses == 4
-    bd._split_gains(60, 5)
+    bd._gain_row(60, 5)
     assert bd._gain_row.cache_info().misses == 6
 
 

@@ -4,11 +4,14 @@ Closed-form counts are checked against independent brute-force enumeration
 oracles wherever the ambient space is desk-scale.
 """
 import ast
+import functools
 import itertools
+import math
 import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +21,7 @@ from rankmetric import _batch, _linalg, cli
 from rankmetric import codes as cd
 from rankmetric import oracle as oc
 from rankmetric import rankgeom as rg
+from rankmetric import wenum as we
 from rankmetric.ffield import make_field
 
 
@@ -369,19 +373,112 @@ BOUNDARY_CASES = [
 ]
 
 
+# every library entry point fed one entry that is no integer: check_vectors
+# raises operator.index's TypeError, where int() once truncated (1.5, 2) to
+# (1, 2).  The CLI refuses such an entry earlier, as text
+NON_INTEGERS = {"float": (1.5, "float"),
+                "np.float64": (np.float64(1.0), "numpy.float64"),
+                "Fraction": (Fraction(1), "Fraction")}
+NON_INTEGER_CALLS = {
+    "rank": lambda x: rg.rank(F8, (1, x)),
+    "rank_distance": lambda x: rg.rank_distance(F8, (1, 2), (1, x)),
+    "support_els": lambda x: rg.support_els(F8, (x,)),
+    "project": lambda x: rg.project(F8, (1, 2, x), A8, B8),
+    "encode": lambda x: C8.encode((1, x)),
+    "contains": lambda x: C8.contains((1, 2, x)),
+    "dot": lambda x: cd.dot(F8, (1, 2), (1, x)),
+    "make_code": lambda x: cd.make_code(F8, [(1, 2, x)]),
+    "make_codebook": lambda x: cd.make_codebook(F8, [(0, 0), (x, 1)]),
+    "gabidulin": lambda x: cd.gabidulin(F8, (1, 2, x), 1),
+    "is_covering": lambda x: oc.is_covering(2, 3, 2, [(0, x)], 1),
+}
+BOUNDARY_CASES += [
+    (f"{name}-{kind}", functools.partial(call, x),
+     TypeError(f"'{typename}' object cannot be interpreted as an integer"))
+    for name, call in NON_INTEGER_CALLS.items()
+    for kind, (x, typename) in NON_INTEGERS.items()]
+
+
 @pytest.mark.parametrize("call,message", [c[1:] for c in BOUNDARY_CASES],
                          ids=[c[0] for c in BOUNDARY_CASES])
 def test_every_vector_boundary_gives_one_of_two_messages(capsys, call,
                                                          message):
     # nine hand-written checks once gave eight message shapes, among them
-    # "ragged codewords", "encoding 9 outside field" and zip()'s own
+    # "ragged codewords", "encoding 9 outside field" and zip()'s own; a
+    # message is a ValueError's unless the case names its exception
     if isinstance(call, str):
         assert cli.main(call.split()) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
     else:
-        with pytest.raises(ValueError) as info:
+        expected = message if isinstance(message, Exception) \
+            else ValueError(message)
+        with pytest.raises(type(expected)) as info:
             call()
-        assert str(info.value) == message
+        assert str(info.value) == str(expected)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint8])
+def test_numpy_integer_entries_match_python_ints(dtype):
+    # operator.index takes numpy integers, and every result holds Python ints
+    def answers(v):  # v turns a tuple of ints into a vector of one type
+        code = cd.make_code(F8, [v((1, 2, 4)), v((0, 1, 3))])
+        return [
+            rg.rank(F8, v((1, 2, 3))),
+            rg.rank_distance(F8, v((1, 2, 4)), v((1, 2, 5))),
+            rg.support_els(F8, v((1, 1, 0))),
+            rg.project(F8, v((1, 2, 3)), A8, B8),
+            C8.encode(v((1, 3))),
+            C8.contains(v((1, 2, 4))),
+            cd.dot(F8, v((1, 2)), v((3, 4))),
+            code.G,
+            cd.make_codebook(F8, [v((1, 2)), v((0, 3)), v((1, 2))]).words,
+            cd.gabidulin(F8, v((1, 2, 4)), 2).G,
+            oc.is_covering(2, 2, 2, [v((0, 0)), v((1, 2))], 1),
+            oc.is_covering(2, 2, 2, [v((0, 0)), v((1, 2))], 0),
+            rg.make_els(2, 3, [v((1, 1, 0)), v((3, 1, 1))]).basis,
+            make_field(2, 3, v((1, 0, 1, 1))).modulus,
+            we.make_enumerator(2, 3, 3, v((1, 0, 0, 7))).coeffs,
+        ]
+
+    plain = answers(tuple)
+    numpy = answers(lambda t: tuple(map(dtype, t)))
+    assert numpy == plain
+    assert repr(numpy) == repr(plain)  # numpy 2 reprs show np.int64(1)
+    assert make_field(2, 3, np.array([1, 0, 1, 1], dtype=dtype)) \
+        is make_field(2, 3, (1, 0, 1, 1))
+
+
+def test_single_boundaries_refuse_non_integers():
+    # the modulus of a field, the rows of an ELS and the counts of an
+    # enumerator once read 1.7, 1.9 and 7.5 as 1, 1 and 7
+    nonint = "^'float' object cannot be interpreted as an integer$"
+    with pytest.raises(TypeError, match=nonint):
+        make_field(2, 3, [1, 1.7, 0, 1])
+    with pytest.raises(TypeError, match=nonint):
+        rg.make_els(2, 3, [[1.9, 0, 1]])
+    with pytest.raises(TypeError, match=nonint):
+        we.make_enumerator(2, 3, 3, [1, 0, 0, 7.5])
+    with pytest.raises(TypeError, match=nonint):  # the default, but a float
+        make_field(2, 3, [1, 1.0, 0, 1])
+    with pytest.raises(ValueError, match="^non-integral value 15/2$"):
+        we.make_enumerator(2, 3, 3, [1, 0, 0, Fraction(15, 2)])
+    counts = we.make_enumerator(2, 3, 3, [1, 0, 0, Fraction(7)]).coeffs
+    assert counts == (1, 0, 0, 7) and type(counts[3]) is int
+
+
+def test_alpha_is_exact_for_every_integer_m():
+    # q-products evaluate alpha below m = 0, where it was once a float:
+    # alpha(-2, 2, 3) read 2.5679... for 208/81
+    assert rg.alpha(-2, 2, 3) == Fraction(208, 81)
+    for q in (2, 3, 5):
+        for m in range(-4, 7):
+            for u in range(6):
+                value = rg.alpha(m, u, q)
+                product = math.prod(
+                    (Fraction(q) ** m - q ** i for i in range(u)),
+                    start=Fraction(1))
+                assert type(value) is (Fraction if m < 0 else int), (q, m, u)
+                assert value == product, (q, m, u)
 
 
 def test_guard_reads_the_cap_at_the_call(monkeypatch):

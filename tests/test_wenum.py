@@ -223,7 +223,7 @@ def test_q_inv_derivative_family_lemmas():
                 shifted = w.shift_m(w.a_family(l - nu, q), -nu)
                 for m in range(4):
                     c = (Fraction(beta(l, nu, q), q ** sigma(nu))
-                         * w.alpha_frac(m, nu, q))
+                         * w.alpha(m, nu, q))
                     assert fcoeffs(lhs, m) == tuple(
                         c * x for x in fcoeffs(shifted, m))
                 # b_l^{nu} = (-1)^nu beta(l,nu) b_{l-nu}
@@ -302,7 +302,7 @@ def _kraw_recurrence(j, i, m, n, q, memo):
     if j == 0:
         out = Fraction(1)
     elif i == 0:
-        out = Fraction(gaussian(n, j, q)) * w.alpha_frac(m, j, q)
+        out = Fraction(gaussian(n, j, q)) * w.alpha(m, j, q)
     else:
         out = (q ** j * _kraw_recurrence(j, i - 1, m - 1, n - 1, q, memo)
                - q ** (j - 1) * _kraw_recurrence(j - 1, i - 1, m - 1, n - 1,
@@ -377,10 +377,10 @@ def test_delta_sum_identity():
                 for j in range(6):
                     lhs = sum(
                         Fraction(gaussian(j, i, q)) * (-1) ** i
-                        * q ** sigma(i) * w.alpha_frac(m - i, nu, q)
+                        * q ** sigma(i) * w.alpha(m - i, nu, q)
                         for i in range(j + 1))
-                    rhs = (Fraction(w.alpha_frac(nu, j, q))
-                           * w.alpha_frac(m - j, nu - j, q)
+                    rhs = (Fraction(w.alpha(nu, j, q))
+                           * w.alpha(m - j, nu - j, q)
                            * w.q_int_pow(q, j * (m - j)))
                     assert lhs == rhs, (q, m, nu, j)
 
@@ -396,7 +396,7 @@ def test_theta_sum_identity():
                         Fraction(gaussian(j, l, q))
                         * gaussian(n - j, nu - l, q)
                         * q ** (l * (n - nu)) * (-1) ** l * q ** sigma(l)
-                        * w.alpha_frac(nu - l, j - l, q)
+                        * w.alpha(nu - l, j - l, q)
                         for l in range(j + 1))
                     rhs = Fraction((-1) ** j * q ** sigma(j)
                                    * gaussian(n - j, n - nu, q))
@@ -540,7 +540,7 @@ def test_cartesian_extend():
     ext = w.cartesian_extend(base, s)
     for u in range(ext.n + 1):
         want = sum(q ** (i * s) * base.coeffs[i] * gaussian(s, u - i, q)
-                   * w.alpha_frac(m - i, u - i, q)
+                   * w.alpha(m - i, u - i, q)
                    for i in range(max(0, u - s), min(u, base.n) + 1))
         assert ext.coeffs[u] == want
     # single-coordinate step recursion:
