@@ -1,11 +1,15 @@
 """Exact Gauss-Jordan elimination over a finite field.
 
-There is one elimination, rref_field, and it serves every field: the
-routines take a Field object and use its arithmetic, so they work over any
-GF(q^m).  GF(q) itself is the field GF(q^1) (make_field(q, 1)), whose
-encodings 0..q-1 are the residues mod q.  Matrices are lists of row lists
-of field encodings.  This module does not import ffield, which imports it;
-callers pass the field.
+There is one elimination, rref_field, and one solve on it: the unique X
+with A X = B, or None when there is none or several, since every caller
+needs uniqueness (inverses and basis changes are square, and project checks
+independence first).  One test decides both cases: the pivots of the
+reduced [A | B] must be exactly A's columns.  An inconsistent equation
+always leaves a pivot in B's columns, so no solution is re-checked.  The
+routines take a Field and use its arithmetic, so they work over any GF(q^m);
+GF(q) itself is the field GF(q^1) (make_field(q, 1)), whose encodings
+0..q-1 are the residues mod q.  Matrices are lists of row lists of field
+encodings.  This module does not import ffield, which imports it.
 """
 from __future__ import annotations
 
@@ -43,17 +47,6 @@ def rank_field(field, rows):
     return len(rref_field(field, rows)[0])
 
 
-def invert(field, mat):
-    """Inverse of a square matrix over the field, or None if singular."""
-    n = len(mat)
-    aug = [list(row) + [int(i == j) for j in range(n)]
-           for i, row in enumerate(mat)]
-    rref, pivots = rref_field(field, aug)
-    if pivots[:n] != list(range(n)):
-        return None
-    return [row[n:] for row in rref[:n]]
-
-
 def lincomb(field, coeffs, rows, n):
     """sum_i coeffs[i] * rows[i] over GF(q^m), as a tuple of n encodings;
     ValueError if coeffs and rows differ in length."""
@@ -66,23 +59,12 @@ def lincomb(field, coeffs, rows, n):
     return tuple(vec)
 
 
-def solve_field(field, rows, rhs):
-    """Coefficients x with sum_i x_i * rows[i] = rhs over GF(q^m), or None.
-
-    Free coefficients (if the rows are dependent) are set to zero.  rows[i]
-    and rhs are sequences of field encodings of equal length.
-    """
-    nrows = len(rows)
-    ncols = len(rhs)
-    # Augmented system A x = b with A = rows^T (ncols equations).
-    aug = [[rows[i][j] for i in range(nrows)] + [rhs[j]] for j in range(ncols)]
+def solve(field, A, B):
+    """The unique X with A X = B over the field, or None when no X or more
+    than one exists.  A has k columns and as many rows as B."""
+    k = len(A[0]) if A else 0
+    aug = [list(a) + list(b) for a, b in zip(A, B, strict=True)]
     rref, pivots = rref_field(field, aug)
-    x = [0] * nrows
-    for row, p in zip(rref, pivots):
-        if p == nrows:  # pivot in the constant column: inconsistent
-            return None
-        x[p] = row[nrows]
-    # Verify (guards against inconsistency hidden past the last pivot).
-    if lincomb(field, x, rows, ncols) != tuple(rhs):
+    if pivots != list(range(k)):
         return None
-    return x
+    return [row[k:] for row in rref]

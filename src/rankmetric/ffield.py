@@ -22,8 +22,9 @@ g^B..g^(2B-1) are g^0..g^(B-1) times c = g^B, and x -> c*x is GF(q)-linear,
 so one product with the matrix of the m products c*alpha^t maps a block of
 digit rows.  The log table is one scatter.
 
-Linear algebra over the base field (bases, coordinates, dual bases) runs the
-one elimination of _linalg over GF(q) taken as the field GF(q^1).
+Coordinates in a basis and dual bases are each one _linalg.solve over GF(q),
+taken as the field GF(q^1); no unique solution means the given elements are
+not a basis, which is_basis tests by the rank of the same digit matrix.
 """
 from __future__ import annotations
 
@@ -251,7 +252,8 @@ class Field:
         return a ^ b if self.q == 2 else self._digitwise(a, b, 1)
 
     def neg(self, a):
-        return a if self.q == 2 else self._digitwise(0, a, -1)
+        """-a, as 0 - a: sub already has the XOR branch for q = 2."""
+        return self.sub(0, a)
 
     def sub(self, a, b):
         return a ^ b if self.q == 2 else self._digitwise(a, b, -1)
@@ -287,10 +289,10 @@ class Field:
         return self._mul_raw(a, b)
 
     def inv(self, a):
+        """a^-1 = a^(q^m - 2), as the nonzero elements form a group of
+        order q^m - 1; pow has both the table and the schoolbook path."""
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in GF(q^m)")
-        if self._log is not None:
-            return self._exp[-self._log[a] % (self.order - 1)]
         return self.pow(a, self.order - 2)
 
     def pow(self, x, e):
@@ -324,17 +326,17 @@ class Field:
 
     # -- bases and expansions --------------------------------------------------
 
-    def _basis_inverse(self, basis):
-        """Inverse over GF(q) of the m x m matrix whose column k holds the
-        digits of basis[k], or None when the elements are dependent."""
+    def _basis_digits(self, basis):
+        """The m x m matrix over GF(q) whose column k holds the digits of
+        basis[k]; ValueError unless there are m elements."""
         basis = list(basis)
         if len(basis) != self.m:
             raise ValueError(f"a basis of GF({self.q}^{self.m}) needs {self.m} elements")
-        mat = [[self.digits(b)[i] for b in basis] for i in range(self.m)]
-        return _linalg.invert(make_field(self.q, 1), mat)
+        return list(zip(*map(self.digits, basis)))
 
     def is_basis(self, basis):
-        return self._basis_inverse(basis) is not None
+        return _linalg.rank_field(make_field(self.q, 1),
+                                  self._basis_digits(basis)) == self.m
 
     def coords(self, x, basis=None):
         """Coordinates of x over GF(q) with respect to basis (default: polynomial)."""
@@ -352,12 +354,11 @@ class Field:
         mat = tuple(tuple(col[i] for col in cols) for i in range(self.m))
         if basis is None:
             return mat
-        binv = self._basis_inverse(basis)
-        if binv is None:
+        # basis digits times coordinates = vec digits, column by column
+        out = _linalg.solve(make_field(self.q, 1), self._basis_digits(basis), mat)
+        if out is None:
             raise ValueError("given elements do not form a basis")
-        # row i of the coordinates is sum_j binv[i][j] * (digit row j)
-        F1 = make_field(self.q, 1)
-        return tuple(_linalg.lincomb(F1, row, mat, len(cols)) for row in binv)
+        return tuple(map(tuple, out))
 
     def reassemble(self, mat, basis=None):
         """Inverse of expand: columns of the m x n matrix back to field elements."""
@@ -383,11 +384,11 @@ class Field:
             raise ValueError(f"a basis of GF({self.q}^{self.m}) needs {self.m} elements")
         powers = self.polynomial_basis()
         mat = [[self.trace(self.mul(e, p)) for p in powers] for e in basis]
-        cinv = _linalg.invert(make_field(self.q, 1), mat)
-        if cinv is None:
+        ident = [[int(i == j) for j in range(self.m)] for i in range(self.m)]
+        sol = _linalg.solve(make_field(self.q, 1), mat, ident)
+        if sol is None:
             raise ValueError("given elements do not form a basis")
-        return tuple(self.from_digits([cinv[k][j] for k in range(self.m)])
-                     for j in range(self.m))
+        return tuple(map(self.from_digits, zip(*sol)))  # column j: P_j
 
     # -- misc ------------------------------------------------------------------
 

@@ -319,10 +319,12 @@ def project(field, u, els_a, els_b):
     rows = [*els_a.basis, *els_b.basis]
     if _linalg.rank_field(make_field(field.q, 1), rows) < len(rows):
         raise ValueError("A and B intersect nontrivially")
-    coeffs = _linalg.solve_field(field, rows, list(u))
-    if coeffs is None:
-        raise ValueError("u does not lie in A + B")
     a, n = els_a.dim, len(u)
+    x = _linalg.solve(field, [[r[j] for r in rows] for j in range(n)],
+                      [(c,) for c in u])
+    if x is None:
+        raise ValueError("u does not lie in A + B")
+    coeffs = [row[0] for row in x]
     return (_linalg.lincomb(field, coeffs[:a], els_a.basis, n),
             _linalg.lincomb(field, coeffs[a:], els_b.basis, n))
 
@@ -364,12 +366,17 @@ def enumerate_vectors(field, n):
 
 def intersection_vectors(field, balls):
     """All vectors within the given (center, radius) constraints, by full
-    enumeration.  `balls` is a sequence of (center, radius) pairs."""
+    enumeration.  `balls` is a sequence of (center, radius) pairs; each
+    center is checked once, past the guard, and each x ranks x - c."""
     balls = list(balls)
     if not balls:
         raise ValueError("need at least one ball")
-    return [x for x in enumerate_vectors(field, len(balls[0][0]))
-            if all(rank_distance(field, x, c) <= r for c, r in balls)]
+    n = len(balls[0][0])
+    xs = enumerate_vectors(field, n)
+    centers = check_vectors(field, (c for c, _ in balls), n)
+    return [x for x in xs
+            if all(rank(field, tuple(map(field.sub, x, c))) <= r
+                   for c, (_, r) in zip(centers, balls))]
 
 
 def intersection_volume_brute(field, balls):

@@ -580,6 +580,18 @@ def test_project_basics():
                    rg.make_els(2, 3, [(0, 1, 0)]))
 
 
+def test_project_corners():
+    # n = 0 has only the zero ELS, and at n = 3 a zero-dimensional A + B
+    # holds only u = 0
+    F = make_field(2, 2)
+    E0 = rg.make_els(2, 0, [])
+    assert rg.project(F, (), E0, E0) == ((), ())
+    Z = rg.make_els(2, 3, [])
+    assert rg.project(F, (0, 0, 0), Z, Z) == ((0, 0, 0), (0, 0, 0))
+    with pytest.raises(ValueError, match=r"^u does not lie in A \+ B$"):
+        rg.project(F, (0, 2, 0), Z, Z)
+
+
 def test_project_rank_splitting_and_injectivity():
     """For full-rank u and V = A + B, rank(u_A) = dim A, rank(u_B) = dim B,
     and for fixed A the complement determines both projections injectively.
@@ -712,6 +724,18 @@ def test_intersection_guard_and_validation():
     # GF(2^9)^3 has 2^27 vectors, past BRUTE_GUARD: refused before enumerating
     with pytest.raises(ValueError, match="exceeds guard"):
         rg.intersection_volume_brute(make_field(2, 9), [((0, 0, 0), 1)])
+
+
+def test_intersection_checks_every_center():
+    # each center is checked before the scan, so a bad one is refused even
+    # where an earlier ball leaves no vector for it to be ranked against
+    F = make_field(2, 2)
+    for balls in ([((0, 0), 0), ((3, 3), 0), ((1, 9), 1)],
+                  [((0, 0), -1), ((1, 9), 1)]):
+        with pytest.raises(ValueError, match="^encoding 9 outside GF"):
+            rg.intersection_vectors(F, balls)
+    with pytest.raises(ValueError, match=r"^vector \(1,\) has length 1, not 2$"):
+        rg.intersection_vectors(F, [((0, 0), 1), ((1,), 1)])
 
 
 def test_large_diameter_set():

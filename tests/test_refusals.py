@@ -1,0 +1,62 @@
+"""Refusals of bad arguments across the library, each pinned by exception
+type and exact message."""
+import pytest
+
+from rankmetric import codes as cd
+from rankmetric import oracle as oc
+from rankmetric import rankgeom as rg
+from rankmetric import wenum as we
+from rankmetric.ffield import Field, field_from_descriptor, make_field
+
+F8 = make_field(2, 3)
+F9 = make_field(3, 2)
+E3 = rg.make_els(2, 3, [(1, 0, 0)])
+E4 = rg.make_els(2, 4, [(1, 0, 0, 0)])
+BOOK = cd.make_codebook(F8, [(0, 0), (1, 2)])
+NEEDS3 = "a basis of GF(2^3) needs 3 elements"
+
+REFUSALS = [
+    ("ball_volume_bounds", lambda: rg.ball_volume_bounds(2, 3, 3, 4),
+     ValueError, "radius 4 outside [0, min(m,n)=3]"),
+    ("intersection_volume_closed",
+     lambda: rg.intersection_volume_closed(2, 3, 3, 1, 1, 4),
+     ValueError, "distance out of range"),
+    ("Els.contains", lambda: E3.contains(F9, (1, 0, 0)),
+     ValueError, "field/ELS base mismatch"),
+    ("Els.elements", lambda: list(E3.elements(F9)),
+     ValueError, "field/ELS base mismatch"),
+    ("Els.contains_els", lambda: E3.contains_els(E4),
+     ValueError, "ambient mismatch"),
+    ("make_enumerator", lambda: we.make_enumerator(1, 2, 1, [1, 0]),
+     ValueError, "field size q^m = 1^2 must be at least 2"),
+    ("macwilliams",
+     lambda: we.macwilliams(we.make_enumerator(2, 2, 2, [0, 0, 0])),
+     ValueError, "empty distribution"),
+    ("Field", lambda: Field(2, 0),
+     ValueError, "extension degree m must be >= 1"),
+    ("field_from_descriptor", lambda: field_from_descriptor("2"),
+     ValueError, "descriptor needs at least q and m"),
+    ("is_basis", lambda: F8.is_basis([1, 2]), ValueError, NEEDS3),
+    ("dual_basis", lambda: F8.dual_basis([1, 2]), ValueError, NEEDS3),
+    ("expand", lambda: F8.expand((1, 2), basis=[1, 2, 3]),
+     ValueError, "given elements do not form a basis"),
+    ("reassemble", lambda: F8.reassemble([[1, 0]]),
+     ValueError, "expected 3 rows"),
+    ("cartesian_power", lambda: cd.cartesian_power(BOOK, 2),
+     TypeError, "cartesian_power needs a LinearCode"),
+    ("mrd_els_check", lambda: cd.mrd_els_check(BOOK),
+     TypeError, "mrd_els_check needs a LinearCode"),
+    ("format_code", lambda: cd.format_code(BOOK),
+     TypeError, "only linear codes have a generator file format"),
+    ("is_covering", lambda: oc.is_covering(2, 0, 1, [(0,)], 0),
+     ValueError, "need m, n >= 1"),
+]
+
+
+@pytest.mark.parametrize("call, exc, message",
+                         [case[1:] for case in REFUSALS],
+                         ids=[case[0] for case in REFUSALS])
+def test_refusal(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert type(info.value) is exc and str(info.value) == message
