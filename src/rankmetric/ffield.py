@@ -3,14 +3,17 @@
 Elements are encoded as plain integers in [0, q^m): the base-q digits of the
 encoding are the coordinates in the polynomial basis (1, alpha, ...,
 alpha^(m-1)), where alpha is a root of the modulus polynomial.  Consequently
-addition is digit-wise mod q (XOR for q=2), base-field elements occupy the
-encodings 0..q-1, and alpha itself is the encoding q.
+addition is digit-wise mod q, base-field elements occupy the encodings
+0..q-1, and alpha itself is the encoding q.
 
-Multiplication uses log/antilog tables for fields up to 2^16 elements and
-schoolbook polynomial arithmetic above that (both paths implemented, and
-checked against each other in the test suite).  At odd q the schoolbook
-product is _poly_mulmod, the one product modulo a monic polynomial, which
-Ben-Or's test uses too.  Fields larger than 2^20 are rejected.
+Multiplication uses log/antilog tables for fields up to 2^16 elements
+(TABLE_LIMIT) and schoolbook polynomial arithmetic above that (both paths
+implemented, and checked against each other in the test suite).  At odd q
+the schoolbook product is _poly_mulmod, the one product modulo a monic
+polynomial, which Ben-Or's test uses too.  Fields larger than 2^20 are
+rejected.  Addition is XOR at q = 2.  At odd q up to TABLE_LIMIT it is a
+table lookup too, in the Zech table zech[k] = log(1 + g^k) (a + b =
+g^la * (1 + g^(lb - la))), and digit by digit above it.
 
 The modulus defaults to the monic irreducible polynomial of degree m whose
 coefficient tuple (c_0, ..., c_m), read as a base-q integer, is smallest.
@@ -20,7 +23,8 @@ every 1 <= i <= m/2.
 The tables come from a doubling walk from the smallest primitive encoding g:
 g^B..g^(2B-1) are g^0..g^(B-1) times c = g^B, and x -> c*x is GF(q)-linear,
 so one product with the matrix of the m products c*alpha^t maps a block of
-digit rows.  The log table is one scatter.
+digit rows.  The log table is one scatter, and the Zech table reads it at
+1 + g^k, which is g^k with digit 0 raised by 1 mod q.
 
 Coordinates in a basis and dual bases are each one _linalg.solve over GF(q),
 taken as the field GF(q^1); no unique solution means the given elements are
@@ -184,6 +188,7 @@ class Field:
             self._top = 1 << m
         self._exp = None
         self._log = None
+        self._zech = None
         self.generator = None
         if order <= TABLE_LIMIT:
             self._build_tables()
@@ -214,7 +219,13 @@ class Field:
         del rows  # 4 MB at 2^16, which would add to the peak of the lists
         log = np.full(order, -1)
         log[exp] = np.arange(order - 1)
-        self._exp, self._log, self.generator = exp.tolist(), log.tolist(), g
+        self._log = log.tolist()
+        if q != 2:  # 1 + g^k is g^k with digit 0 raised by 1 mod q
+            low = exp % q
+            # entries of the log list: the Zech list holds no ints of its own
+            self._zech = list(map(self._log.__getitem__,
+                                  (exp - low + (low + 1) % q).tolist()))
+        self._exp, self.generator = exp.tolist(), g
 
     # -- encoding ------------------------------------------------------------
 
@@ -249,14 +260,42 @@ class Field:
         return out
 
     def add(self, a, b):
-        return a ^ b if self.q == 2 else self._digitwise(a, b, 1)
+        """a + b: XOR at q = 2.  At odd q, for encodings in [0, q^m) of a
+        tabled field, one lookup in the Zech table zech[k] = log(1 + g^k):
+        a + b = g^la * (1 + g^(lb - la)).  Otherwise digit-wise mod q."""
+        if self.q == 2:
+            return a ^ b
+        order = self.order
+        if self._zech is None or not (0 <= a < order and 0 <= b < order):
+            return self._digitwise(a, b, 1)
+        if not a or not b:
+            return a or b
+        log, n = self._log, order - 1
+        la = log[a]
+        z = self._zech[(log[b] - la) % n]
+        return 0 if z < 0 else self._exp[(la + z) % n]
 
     def neg(self, a):
         """-a, as 0 - a: sub already has the XOR branch for q = 2."""
         return self.sub(0, a)
 
     def sub(self, a, b):
-        return a ^ b if self.q == 2 else self._digitwise(a, b, -1)
+        """a - b on the paths of add: the Zech lookup takes -b as
+        g^(lb + (q^m - 1)/2), since -1 = g^((q^m - 1)/2) at odd q."""
+        if self.q == 2:
+            return a ^ b
+        order = self.order
+        if self._zech is None or not (0 <= a < order and 0 <= b < order):
+            return self._digitwise(a, b, -1)
+        if not b:
+            return a
+        log, n = self._log, order - 1
+        lb = log[b] + n // 2
+        if not a:
+            return self._exp[lb % n]
+        la = log[a]
+        z = self._zech[(lb - la) % n]
+        return 0 if z < 0 else self._exp[(la + z) % n]
 
     def _mul_raw(self, a, b):
         """Schoolbook polynomial multiplication with reduction by the modulus:

@@ -14,6 +14,7 @@ passes check_vectors(field, rows, n), their one int conversion and check.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -172,44 +173,52 @@ def check_vectors(field, rows, n):
 
 
 def rank(field, vec):
-    """Rank weight: GF(q)-rank of the m x n expansion of vec, or of its n
-    digit rows.  A bad entry raises check_vectors' TypeError or ValueError.
+    """Rank weight: GF(q)-rank of the m x n expansion of vec, the dimension
+    of the GF(q)-span of its entries' digit rows.  A bad entry raises
+    check_vectors' TypeError or ValueError.
 
-    At q = 2 an encoding is the bitmask of its digit row, and the rows go
-    into an XOR basis with one row per leading bit.  At odd q one nonzero
-    row at a time clears its leading column from the others, mod q."""
+    The entries go into a basis keyed by leading base-q digit position.  At
+    q = 2 an encoding is the bitmask of its digit row, the key its bit
+    length, and reducing is XOR.  At odd q the key comes by bisection on the
+    powers of q, each basis element has leading digit 1, and x with leading
+    digit d is reduced to x - d * basis[k]: by Field.mul and Field.sub on a
+    tabled field, in one digit-wise pass without tables."""
     vec, = check_vectors(field, (vec,), len(vec))
-    q = field.q
-    if q == 2:
-        basis = {}
-        for x in vec:
+    return _rank(field, vec)
+
+
+def _rank(field, xs):
+    """The body of rank, on encodings that check_vectors has passed: rank
+    and rank_distance call it after their one check."""
+    basis = {}
+    if field.q == 2:
+        for x in xs:
             while x and x.bit_length() in basis:
                 x ^= basis[x.bit_length()]
             if x:
                 basis[x.bit_length()] = x
         return len(basis)
-    rows, out = [field.digits(x) for x in vec if x], 0
-    while rows:
-        row = rows.pop()
-        c = next(i for i, d in enumerate(row) if d)
-        inv = pow(row[c], -1, q)
-        reduced = []
-        for r in rows:
-            if r[c]:
-                f = r[c] * inv
-                r = [(a - f * b) % q for a, b in zip(r, row)]
-            if any(r):
-                reduced.append(r)
-        rows = reduced
-        out += 1
-    return out
+    q, mul, sub = field.q, field.mul, field.sub
+    # without tables mul is schoolbook, but d is in GF(q): one digit-wise pass
+    tabled, digitwise = field._zech is not None, field._digitwise
+    powers = field.polynomial_basis()
+    for x in xs:
+        while x and (k := bisect.bisect_right(powers, x) - 1) in basis:
+            d = x // powers[k]
+            x = (sub(x, mul(d, basis[k])) if tabled
+                 else digitwise(x, basis[k], -d))
+        if x:
+            d = pow(x // powers[k], -1, q)
+            basis[k] = mul(d, x) if tabled else digitwise(0, x, d)
+    return len(basis)
 
 
 def rank_distance(field, u, v):
     """Rank weight of u - v.  Raises ValueError for vectors of different
-    lengths or an entry outside [0, q^m)."""
+    lengths or an entry outside [0, q^m); u and v pass check_vectors once,
+    and their difference goes to the rank body unchecked."""
     u, v = check_vectors(field, (u, v), len(u))
-    return rank(field, tuple(field.sub(a, b) for a, b in zip(u, v)))
+    return _rank(field, map(field.sub, u, v))
 
 
 # ---------------------------------------------------------------------------

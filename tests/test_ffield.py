@@ -374,6 +374,41 @@ def test_digitwise_add_sub_neg_stop_after_m_digits():
     assert proc.stdout == "8 8 4 0\n"
 
 
+ZECH_SMALL = [(q, m) for q in (3, 5) for m in range(1, 6) if q ** m <= 243]
+
+
+@pytest.mark.parametrize("q,m", ZECH_SMALL)
+def test_zech_add_sub_neg_match_digitwise_on_every_pair(q, m):
+    """At odd q the Zech lookups give the digit-wise sums on every pair of
+    elements, and zech[k] is log(1 + g^k), -1 where 1 + g^k = 0."""
+    F = make_field(q, m)
+    assert F._zech is not None
+    assert F._zech == [F._log[F._digitwise(1, x, 1)] for x in F._exp]
+    for a in F.elements():
+        assert F.neg(a) == F._digitwise(0, a, -1)
+        for b in F.elements():
+            assert F.add(a, b) == F._digitwise(a, b, 1)
+            assert F.sub(a, b) == F._digitwise(a, b, -1)
+
+
+@pytest.mark.parametrize("q,m", [(3, 8), (3, 10), (5, 6)])
+def test_zech_add_sub_neg_match_digitwise_on_sampled_pairs(q, m):
+    F = make_field(q, m)
+    assert F._zech is not None
+    rng = random.Random(q * 100 + m)
+    for _ in range(20000):
+        a, b = rng.randrange(F.order), rng.randrange(F.order)
+        assert F.add(a, b) == F._digitwise(a, b, 1)
+        assert F.sub(a, b) == F._digitwise(a, b, -1)
+        assert F.neg(b) == F._digitwise(0, b, -1)
+
+
+def test_zech_tables_only_at_odd_q_with_tables():
+    # q = 2 adds by XOR and the table-less fields digit by digit
+    for q, m in [(2, 4), (2, 16), (3, 11), (5, 7)]:
+        assert make_field(q, m)._zech is None
+
+
 def test_schoolbook_refuses_a_negative_operand():
     # at q = 2 the schoolbook product once shifted a negative operand down
     # forever, so this runs in a subprocess under a timeout; pow and inv

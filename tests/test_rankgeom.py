@@ -8,6 +8,7 @@ import functools
 import itertools
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -202,6 +203,87 @@ def test_rank_distance_rejects_vectors_of_different_lengths():
     # a short center once counted as a ball of a shorter space (22 vectors)
     with pytest.raises(ValueError, match=r"^vector \(1,\) has length 1, not 2$"):
         rg.intersection_volume_brute(F, [((0, 0), 1), ((1,), 1)])
+
+
+def test_rank_distance_refusals_pinned():
+    """u is checked before v, each entry in order, then v's length."""
+    F = make_field(3, 4)
+    cases = [
+        ((1, 81), (0, 0), ValueError, "encoding 81 outside GF(3^4)"),
+        ((1, -2), (0, 81), ValueError, "encoding -2 outside GF(3^4)"),
+        ((1, 2), (-1, 81), ValueError, "encoding -1 outside GF(3^4)"),
+        ((1, 2), (3, 90, -4), ValueError, "vector (3, 90, -4) has length 3, not 2"),
+        ((1, 2, 3), (1, 2), ValueError, "vector (1, 2) has length 2, not 3"),
+        ((81, 2), (1,), ValueError, "encoding 81 outside GF(3^4)"),
+        ((1, 1.5), (0, 0), TypeError,
+         "'float' object cannot be interpreted as an integer"),
+        ((1, 2), (0, Fraction(1)), TypeError,
+         "'Fraction' object cannot be interpreted as an integer"),
+    ]
+    for u, v, exc, message in cases:
+        with pytest.raises(exc) as info:
+            rg.rank_distance(F, u, v)
+        assert type(info.value) is exc and str(info.value) == message
+
+
+def test_check_vectors_names_the_first_entry_out_of_range():
+    F = make_field(2, 2)
+    for row, bad in [((0, 5, -1, 9), 5), ((3, -1, 9), -1), ((4,), 4)]:
+        with pytest.raises(ValueError, match=rf"^encoding {bad} outside GF\(2\^2\)$"):
+            rg.check_vectors(F, [(0,) * len(row), row], len(row))
+
+
+def digit_row_rank(F, vec):
+    """Rank over GF(q) of the digit rows of vec, one nonzero row at a time
+    clearing its leading column from the others (the odd-q algorithm rank
+    used before it reduced encodings)."""
+    q = F.q
+    rows, out = [F.digits(x) for x in vec if x], 0
+    while rows:
+        row = rows.pop()
+        c = next(i for i, d in enumerate(row) if d)
+        inv = pow(row[c], -1, q)
+        reduced = []
+        for r in rows:
+            if r[c]:
+                f = r[c] * inv
+                r = [(a - f * b) % q for a, b in zip(r, row)]
+            if any(r):
+                reduced.append(r)
+        rows = reduced
+        out += 1
+    return out
+
+
+@pytest.mark.parametrize("q,m", [(3, 1), (3, 4), (5, 3), (3, 8), (3, 11), (5, 7)])
+def test_odd_rank_matches_digit_row_elimination(q, m):
+    """rank at odd q, tabled and table-less fields alike, equals the digit
+    row elimination on seeded vectors of length 0 to m + 2: uniform ones,
+    and ones whose entries are GF(q)-combinations of r < m random elements
+    so that rank deficiency is common.  Scaling by a nonzero a keeps it."""
+    F = make_field(q, m)
+    rng = random.Random(q * 100 + m)
+    seen = set()
+    for n in range(m + 3):
+        for trial in range(24):
+            if trial % 2:
+                gens = [F.digits(rng.randrange(F.order))
+                        for _ in range(rng.randrange(m))]
+                vec = tuple(F.from_digits(
+                    [sum(rng.randrange(q) * g[i] for g in gens) % q
+                     for i in range(m)]) for _ in range(n))
+            else:
+                vec = tuple(rng.randrange(F.order) for _ in range(n))
+            want = digit_row_rank(F, vec)
+            assert rg.rank(F, vec) == want
+            a = rng.randrange(1, F.order)
+            assert rg.rank(F, [F.mul(a, x) for x in vec]) == want
+            u = tuple(rng.randrange(F.order) for _ in range(n))
+            assert rg.rank_distance(F, u, vec) == digit_row_rank(
+                F, [F._digitwise(x, y, -1) for x, y in zip(u, vec)])
+            seen.add((n, want))
+    # every rank from 0 to min(m, n) occurs at some length
+    assert {r for _, r in seen} == set(range(m + 1))
 
 
 def packed_ranks(m, n):
