@@ -34,8 +34,8 @@ print(f"  centers {centers} -> intersection {sorted(hit)}")
 
 print("\nelementary linear subspaces of GF(q^m)^3 (bases over GF(2)):")
 for v in range(4):
-    spaces = rg.enumerate_els(q, 3, v)
-    print(f"  dimension {v}: {len(spaces)} = [3 {v}]_2 "
+    count = sum(map(len, rg.subspaces(q, 3, v)))  # chunks of RREF bases
+    print(f"  dimension {v}: {count} = [3 {v}]_2 "
           f"= {rg.gaussian(3, v, 2)}")
 
 els = rg.support_els(F, (1, 2, 0))

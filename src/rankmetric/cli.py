@@ -8,8 +8,10 @@ Subcommands::
 Ranges are written "2..7" (inclusive).  Every command returns an
 ``Answer`` and prints nothing; only ``main`` prints it, through ``emit``,
 once the command has returned, so a command that fails leaves stdout
-empty.  Machine formats (csv, json) echo the fully resolved run
-configuration: CSV output starts with a versioned comment line
+empty.  Lines may be any iterable (``els --list`` text is a generator made
+past every guard), and ``main`` lifts Python's 4300-digit int/str limit
+while a command runs.  Machine formats (csv, json) echo the fully resolved
+run configuration: CSV output starts with a versioned comment line
 ``# rankmetric-table v1 config: ...`` and JSON output carries a ``config``
 object.  Plain text output stays minimal for human use.
 
@@ -21,7 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from . import bounds as bd
 from . import codes as cd
@@ -47,9 +49,9 @@ def make_config(command, **options):
 
 
 class Answer(NamedTuple):
-    """A command's whole result: its text lines, the config and payload
-    that --format json prints instead, and its exit status."""
-    lines: list
+    """A command's whole result: its text lines (any iterable), the config
+    and payload that --format json prints instead, and its exit status."""
+    lines: Iterable
     config: dict = None
     payload: dict = None
     status: int = 0
@@ -154,18 +156,19 @@ def cmd_els(args):
     dims = range(args.n + 1) if args.v is None else (args.v,)
     counts = {v: rg.gaussian(args.n, v, args.q) for v in dims}
     payload = {"counts": {str(v): c for v, c in counts.items()}}
-    # every walk refuses at the call, so nothing is listed past a guard
+    # every walk refuses at the call, before a line is made or printed
     walks = {v: rg.subspaces(args.q, args.n, v) for v in dims if args.list}
     if walks and args.format == "json":
         payload["bases"] = {str(v): [b for bs in walk for b in bs.tolist()]
                             for v, walk in walks.items()}
-    lines = []
-    for v in dims if args.format == "text" else ():
-        lines.append(f"dim {v}: {counts[v]} subspaces")
-        lines += ["  [" + "; ".join(" ".join(map(str, r)) for r in b) + "]"
-                  for bases in walks.get(v, ()) for b in bases.tolist()]
-    return Answer(lines, make_config("els", q=args.q, n=args.n,
-                                     v="all" if args.v is None else args.v),
+
+    def lines():
+        for v in dims if args.format == "text" else ():
+            yield f"dim {v}: {counts[v]} subspaces"
+            yield from ("  [" + "; ".join(" ".join(map(str, r)) for r in b)
+                        + "]" for bs in walks.get(v, ()) for b in bs.tolist())
+    return Answer(lines(), make_config("els", q=args.q, n=args.n,
+                                       v="all" if args.v is None else args.v),
                   payload)
 
 
@@ -485,10 +488,9 @@ def _suite_codes(trials, seed):
             bad.append(("dim", i))
         if sorted(cd.codewords(cd.dual(dual))) != sorted(cd.codewords(code)):
             bad.append(("involution", i))
-        for u in cd.codewords(code):
-            if any(cd.dot(code.field, u, v) != 0 for v in dual.G):
-                bad.append(("orthogonality", i))
-                break
+        if any(cd.dot(code.field, u, v) for u in cd.codewords(code)
+               for v in dual.G):
+            bad.append(("orthogonality", i))
     yield ("dual codes orthogonal with complementary dimension", not bad,
            str(bad))
     zero = cd.make_zero_code(make_field(2, 2), 2)
@@ -637,7 +639,10 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
     try:
+        set_limit(0)
         answer = args.func(args)
         emit(args, answer)
     except oc.InconclusiveSearch as exc:
@@ -646,6 +651,8 @@ def main(argv=None):
     except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        set_limit(limit)
     return answer.status
 
 

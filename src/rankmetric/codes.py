@@ -392,11 +392,11 @@ def mrd_els_check(code):
 
 
 def array_view(code, basis=None):
-    """The m x n GF(q) expansion of every codeword (an array codebook)."""
+    """Yields each codeword's m x n GF(q) expansion (an array codebook)."""
     F = code.field
     if basis is not None and not F.is_basis(basis):
         raise ValueError("dependent basis")
-    return [F.expand(w, basis=basis) for w in codewords(code)]
+    return (F.expand(w, basis=basis) for w in codewords(code))
 
 
 # ---------------------------------------------------------------------------

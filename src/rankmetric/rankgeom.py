@@ -11,6 +11,7 @@ forms where proved, brute force otherwise).  Every exhaustive scan, here and
 in codes and oracle, is sized by guard(count, what) against BRUTE_GUARD, and
 every vector that comes from outside, here and in codes, oracle and cli,
 passes check_vectors(field, rows, n), their one int conversion and check.
+Guarded enumerations check and guard at the call, then stream their items.
 """
 from __future__ import annotations
 
@@ -261,8 +262,8 @@ class Els:
         """All q^{m * dim} vectors: GF(q^m)-combinations of the basis rows."""
         if field.q != self.q:
             raise ValueError("field/ELS base mismatch")
-        for coeffs in itertools.product(field.elements(), repeat=self.dim):
-            yield _linalg.lincomb(field, coeffs, self.basis, self.n)
+        return (_linalg.lincomb(field, c, self.basis, self.n)
+                for c in itertools.product(field.elements(), repeat=self.dim))
 
     def __repr__(self):
         return f"Els(q={self.q}, n={self.n}, dim={self.dim}, basis={self.basis})"
@@ -288,12 +289,6 @@ def subspaces(q, n, v):
     return _batch.subspace_chunks(q, n, v)
 
 
-def enumerate_els(q, n, v):
-    """All [n v]_q ELS's of dimension v in GF(q^m)^n, for every m."""
-    return [Els(q, n, tuple(map(tuple, basis)))
-            for bases in subspaces(q, n, v) for basis in bases.tolist()]
-
-
 def support_els(field, vec):
     """The unique ELS of dimension rank(vec) containing vec: the GF(q)-row
     space of the expansion, lifted back to GF(q^m)^n."""
@@ -307,13 +302,11 @@ def complements(els_a, els_v):
         raise ValueError("A is not contained in V")
     a, v, n, q = els_a.dim, els_v.dim, els_v.n, els_v.q
     F1 = make_field(q, 1)
-    out = []
-    for sub in (b for bases in subspaces(q, v, v - a) for b in bases.tolist()):
-        # lift the internal subspace through V's basis
-        rows_b = [_linalg.lincomb(F1, c, els_v.basis, n) for c in sub]
-        if _linalg.rank_field(F1, [*els_a.basis, *rows_b]) == v:
-            out.append(make_els(q, n, rows_b))
-    return out
+    # each (v - a)-dim subspace of GF(q)^v, lifted through V's basis
+    lifts = ([_linalg.lincomb(F1, c, els_v.basis, n) for c in sub]
+             for bases in subspaces(q, v, v - a) for sub in bases.tolist())
+    return [make_els(q, n, rows) for rows in lifts
+            if _linalg.rank_field(F1, [*els_a.basis, *rows]) == v]
 
 
 def project(field, u, els_a, els_b):
@@ -352,9 +345,8 @@ def intersection_volume_closed(q, m, n, r1, r2, dist):
     - a unit ball at the far rim, r2 == 1 and dist == r1 (or symmetrically):
       1 + (q^m - q^r1)*[r1 1] + (q^r1 - 1)*[n 1]
     """
-    for a, b in ((r1, r2), (r2, r1)):
-        if not 0 <= a <= min(m, n):
-            raise ValueError("radius out of range")
+    if not 0 <= min(r1, r2) <= max(r1, r2) <= min(m, n):
+        raise ValueError("radius out of range")
     if not 0 <= dist <= min(m, n):
         raise ValueError("distance out of range")
     if dist == r1 + r2:
@@ -374,8 +366,8 @@ def enumerate_vectors(field, n):
 
 
 def intersection_vectors(field, balls):
-    """All vectors within the given (center, radius) constraints, by full
-    enumeration.  `balls` is a sequence of (center, radius) pairs; each
+    """The vectors within the given (center, radius) constraints, yielded by
+    full enumeration.  `balls` is a sequence of (center, radius) pairs; each
     center is checked once, past the guard, and each x ranks x - c."""
     balls = list(balls)
     if not balls:
@@ -383,14 +375,14 @@ def intersection_vectors(field, balls):
     n = len(balls[0][0])
     xs = enumerate_vectors(field, n)
     centers = check_vectors(field, (c for c, _ in balls), n)
-    return [x for x in xs
+    return (x for x in xs
             if all(rank(field, tuple(map(field.sub, x, c))) <= r
-                   for c, (_, r) in zip(centers, balls))]
+                   for c, (_, r) in zip(centers, balls)))
 
 
 def intersection_volume_brute(field, balls):
     """Exact |∩ B_r_i(c_i)| by enumeration; accepts any number of balls."""
-    return len(intersection_vectors(field, balls))
+    return sum(1 for _ in intersection_vectors(field, balls))
 
 
 def canonical_rank_vector(field, n, e):
@@ -423,4 +415,4 @@ def large_diameter_set(q, m, n, r):
     if not 2 <= 2 * r < n:
         raise ValueError("requires 2 <= 2r < n")
     tail = (0,) * (n - 2 * r)
-    return [head + tail for head in enumerate_vectors(make_field(q, m), 2 * r)]
+    return (head + tail for head in enumerate_vectors(make_field(q, m), 2 * r))

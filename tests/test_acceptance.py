@@ -346,16 +346,22 @@ def test_criterion_11_exhaustive_covering():
 # 12-13: subspace combinatorics and the Delsarte bridge
 # ---------------------------------------------------------------------------
 
+def _els_of(q, n, v):
+    """The ELS's of dimension v, built from the bases subspaces streams."""
+    return [rg.Els(q, n, tuple(map(tuple, b)))
+            for bases in rg.subspaces(q, n, v) for b in bases.tolist()]
+
+
 def test_criterion_12_els_combinatorics():
     bad = []
     for n in range(1, 5):
         for v in range(n + 1):
-            spaces = rg.enumerate_els(2, n, v)
+            spaces = _els_of(2, n, v)
             if len(spaces) != rg.gaussian(n, v, 2):
                 bad.append(("count", n, v))
             for V in spaces:
                 for a in range(v + 1):
-                    subs = [A for A in rg.enumerate_els(2, n, a)
+                    subs = [A for A in _els_of(2, n, a)
                             if V.contains_els(A)]
                     if len(subs) != rg.gaussian(v, a, 2):
                         bad.append(("subcount", n, v, a))

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from rankmetric import bounds as bd
 from rankmetric import cli
 from rankmetric import codes as cd
 from rankmetric import rankgeom as rg
@@ -684,3 +685,30 @@ def test_table_config_line(run, argv, comment):
     rc, out, _ = run(*argv.split())
     assert rc == 0
     assert out.splitlines()[0] == f"# rankmetric-table v1 config: {comment}"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int/str digit limit to lift")
+def test_exact_integers_past_the_str_digit_limit(run):
+    # Python converts int <-> str up to 4300 digits by default, so these
+    # once exited 1; main lifts the limit while a command runs, then
+    # restores it
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        lower = str(bd.covering_report(2, 300, 60, 1).best_lower)
+        whole = str(2 ** 15000 - 1)  # GF(2^15000)^1 less the zero vector
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(lower) == 5311 and len(whole) == 4516
+    rc, out, err = run("bounds", "--q", "2", "--m", "300", "--n", "60",
+                       "--rho", "1", "--format", "json")
+    assert (rc, err) == (0, "")
+    assert f'"best_lower": {lower},' in out
+    rc, out, err = run("table1", "--m", "300", "--n", "60", "--rho", "1")
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[2].split(",")[11] == lower
+    rc, out, err = run("macwilliams", "--dist", f"1,{whole}", "--q", "2",
+                       "--m", "15000")
+    assert (rc, out, err) == (0, f"A = (1, {whole})\nB = (1, 0)\n", "")
+    assert sys.get_int_max_str_digits() == limit

@@ -621,10 +621,11 @@ def els_scan_mrd(code):
     dimension n - k and look for a nonzero one passing the parity checks."""
     F, n, k = code.field, code.n, code.k
     H = cd.dual(code).G
-    for els in rg.enumerate_els(F.q, n, n - k):
-        for v in els.elements(F):
-            if any(v) and all(cd.dot(F, h, v) == 0 for h in H):
-                return False
+    for bases in rg.subspaces(F.q, n, n - k):
+        for b in bases.tolist():
+            for v in rg.Els(F.q, n, tuple(map(tuple, b))).elements(F):
+                if any(v) and all(cd.dot(F, h, v) == 0 for h in H):
+                    return False
     return True
 
 
@@ -793,8 +794,10 @@ def test_dimension_determined_by_covering_radius():
         assert cd.covering_radius(C) == 3 - C.k
     # ELS codes: rho = n - dim
     for v in range(3):
-        for els in rg.enumerate_els(2, 3, v):
-            assert cd.covering_radius(cd.els_code(F8, els)) == 3 - v
+        for bases in rg.subspaces(2, 3, v):
+            for b in bases.tolist():
+                els = rg.Els(2, 3, tuple(map(tuple, b)))
+                assert cd.covering_radius(cd.els_code(F8, els)) == 3 - v
 
 
 # ---------------------------------------------------------------------------
@@ -814,8 +817,8 @@ def test_array_view_trace_duality(q, m, n, k):
     P = F.dual_basis(E)
     C = (cd.gabidulin(F, F.polynomial_basis()[:n], k)
          if n <= m else cd.make_code(F, [(1,) * n]))
-    mats_dual_E = cd.array_view(cd.dual(C), basis=E)
-    mats_C_P = cd.array_view(C, basis=P)
+    mats_dual_E = list(cd.array_view(cd.dual(C), basis=E))
+    mats_C_P = list(cd.array_view(C, basis=P))
     assert len(mats_C_P) == F.order ** k
     for A in mats_dual_E:
         for B in mats_C_P:
@@ -826,12 +829,12 @@ def test_array_view_trace_duality(q, m, n, k):
 
 def test_array_view_basics():
     F = make_field(2, 2)
-    Z = cd.array_view(cd.make_zero_code(F, 2))
+    Z = list(cd.array_view(cd.make_zero_code(F, 2)))
     assert Z == [((0, 0), (0, 0))]
     with pytest.raises(ValueError):
         cd.array_view(cd.make_zero_code(F, 2), basis=(1, 1))  # dependent
     C = cd.make_code(F, [(1, 2)])
-    assert len(cd.array_view(C)) == 4
+    assert len(list(cd.array_view(C))) == 4
 
 
 # ---------------------------------------------------------------------------

@@ -329,29 +329,35 @@ def test_rank_invariant_under_expansion_basis(m, n):
 # elementary linear subspaces
 # ---------------------------------------------------------------------------
 
-def test_enumerate_els_counts():
+def els_of(q, n, v):
+    """The ELS's of dimension v, built from the bases subspaces streams."""
+    return [rg.Els(q, n, tuple(map(tuple, b)))
+            for bases in rg.subspaces(q, n, v) for b in bases.tolist()]
+
+
+def test_subspaces_counts():
     for q in (2, 3):
         for n in range(5):
             for v in range(n + 1):
-                els = rg.enumerate_els(q, n, v)
+                els = els_of(q, n, v)
                 assert len(els) == rg.gaussian(n, v, q)
                 assert len({e.basis for e in els}) == len(els)
-    assert len(rg.enumerate_els(2, 3, 1)) == 7
-    assert len(rg.enumerate_els(2, 3, 2)) == 7
-    assert rg.enumerate_els(2, 4, 0) == [rg.make_els(2, 4, [])]
-    with pytest.raises(ValueError):
-        rg.enumerate_els(2, 3, 4)
+    assert len(els_of(2, 3, 1)) == 7
+    assert len(els_of(2, 3, 2)) == 7
+    assert els_of(2, 4, 0) == [rg.make_els(2, 4, [])]
+    with pytest.raises(ValueError, match=r"^dimension 4 outside \[0, 3\]$"):
+        rg.subspaces(2, 3, 4)
 
 
-def test_enumerate_els_guard(monkeypatch):
+def test_subspaces_guard(monkeypatch):
     # the guard is lowered so that a missing check fails fast instead of
     # enumerating 2^24 subspaces
     monkeypatch.setattr(rg, "BRUTE_GUARD", 35)
-    assert len(rg.enumerate_els(2, 4, 2)) == 35
+    assert sum(map(len, rg.subspaces(2, 4, 2))) == 35
     monkeypatch.setattr(rg, "BRUTE_GUARD", 34)
     with pytest.raises(ValueError, match="^ELS count 35 exceeds guard$"):
-        rg.enumerate_els(2, 4, 2)
-    assert len(rg.enumerate_els(2, 4, 1)) == 15
+        rg.subspaces(2, 4, 2)
+    assert sum(map(len, rg.subspaces(2, 4, 1))) == 15
 
 
 def test_els_membership_and_elements():
@@ -380,7 +386,7 @@ def test_support_els():
     assert s.basis == ((1, 0, 1), (0, 1, 1))
     assert s.contains(F, (1, 2, 3))
     # uniqueness: no other dim-2 ELS contains the vector
-    hits = [e for e in rg.enumerate_els(2, 3, 2) if e.contains(F, (1, 2, 3))]
+    hits = [e for e in els_of(2, 3, 2) if e.contains(F, (1, 2, 3))]
     assert hits == [s]
 
 
@@ -614,7 +620,7 @@ def test_complements_counts():
         v = rg.make_els(2, 3, rows)
         assert rg.complements(rg.make_els(2, 3, []), v) == [v]
     total_pairs = 0
-    for a in rg.enumerate_els(2, 2, 1):
+    for a in els_of(2, 2, 1):
         cs = rg.complements(a, v2)
         assert len(cs) == 2  # q^{a(v-a)} = 2
         for b in cs:
@@ -684,7 +690,7 @@ def test_project_rank_splitting_and_injectivity():
             if rg.rank(F, v) == 2]
     assert len(full) == rg.sphere_count(2, 2, 2, 2)
     for u in full:
-        for A in rg.enumerate_els(2, 2, 1):
+        for A in els_of(2, 2, 1):
             seen_a, seen_b = set(), set()
             for B in rg.complements(A, V):
                 ua, ub = rg.project(F, u, A, B)
@@ -791,7 +797,7 @@ def test_three_ball_worked_examples():
         cs = [c for c, _ in cfg]
         assert all(rg.rank_distance(F, cs[i], cs[j]) == 2
                    for i in range(3) for j in range(i + 1, 3))
-    assert rg.intersection_vectors(F, cfg1) == [(3, 0, 0)]
+    assert list(rg.intersection_vectors(F, cfg1)) == [(3, 0, 0)]
     assert sorted(rg.intersection_vectors(F, cfg2)) == \
         [(0, 3, 0), (1, 0, 0), (2, 2, 0)]
     # single ball sanity: count = V_r
@@ -821,7 +827,7 @@ def test_intersection_checks_every_center():
 
 
 def test_large_diameter_set():
-    S = rg.large_diameter_set(2, 3, 3, 1)
+    S = list(rg.large_diameter_set(2, 3, 3, 1))
     F = make_field(2, 3)
     assert len(S) == 64
     assert len(S) > rg.ball_counts(2, 3, 3, 1)[1] == 50

@@ -1,7 +1,9 @@
 """Refusals of bad arguments across the library, each pinned by exception
-type and exact message."""
+type and exact message, and the library's reprs."""
+import numpy as np
 import pytest
 
+from rankmetric import _batch
 from rankmetric import codes as cd
 from rankmetric import oracle as oc
 from rankmetric import rankgeom as rg
@@ -50,6 +52,12 @@ REFUSALS = [
      TypeError, "only linear codes have a generator file format"),
     ("is_covering", lambda: oc.is_covering(2, 0, 1, [(0,)], 0),
      ValueError, "need m, n >= 1"),
+    # a negative digit never runs out, so the odd-q array sum refuses it
+    ("_batch.add", lambda: _batch.add(F9, np.array([-1]), np.array([0])),
+     ValueError, "negative encoding"),
+    # without tables, mul is schoolbook, which would shift -1 forever
+    ("Field.mul", lambda: make_field(2, 17).mul(-1, 3),
+     ValueError, "-1 is not an element encoding of GF(2^17)"),
 ]
 
 
@@ -60,3 +68,13 @@ def test_refusal(call, exc, message):
     with pytest.raises(exc) as info:
         call()
     assert type(info.value) is exc and str(info.value) == message
+
+
+def test_reprs():
+    F = make_field(3, 2, [2, 2, 1])
+    assert repr(F) == "Field(q=3, m=2, modulus=x^2 + 2x + 2)"
+    assert repr(cd.make_code(F8, [(1, 2, 4), (0, 1, 2)])) == \
+        "LinearCode(q=2, m=3, n=3, k=2)"
+    assert repr(BOOK) == "Codebook(q=2, m=3, n=2, size=2)"
+    poly = we.ParametricPoly(2, 2, lambda u, m: 1)
+    assert repr(poly) == "ParametricPoly(q=2, degree=2)"
