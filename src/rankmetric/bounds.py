@@ -11,19 +11,17 @@ bound A_R, dimension bounds for linear covering codes, and the asymptotic
 rate formulas.
 
 Everything is exact integer/rational arithmetic except the two bounds that
-are genuinely transcendental (D and E are floors of logarithmic terms);
-those are certified by mpmath.libmp steps rounded outward as mpmath.iv
-rounds them, down for the low end and up for the high one, at a precision
-in bits scaled to the operands that doubles while the floor is ambiguous.
+are genuinely transcendental (D and E are floors of logarithmic terms).
+Each of their logarithms is one mpmath.libmp log rounded down, which puts
+it between consecutive integer multiples of a power of two; exact integer
+floors of both ends follow, at a precision in bits scaled to the operands
+that doubles while the two floors differ.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
-from mpmath.libmp import (fone, from_int, mpf_add, mpf_div, mpf_log, mpf_mul,
-                          mpf_sign, mpf_sub, round_ceiling as CEIL,
-                          round_floor as FLOOR, to_int)
+from mpmath.libmp import from_int, mpf_log, round_floor as FLOOR
 
 from .rankgeom import ball_counts, gaussian
 
@@ -146,50 +144,66 @@ def covering_upper(q, m, n, rho):
        GF(q^mu), mu = max(m-rho, n), embedded coordinate-wise);
     C: min over all splits n = sum n_i, rho = sum rho_i with rho_i <= n_i,
        n_i + rho_i <= m of q^{m(n-rho) - sum rho_i(n_i - rho_i)} (cartesian
-       products of embedded MRD codes);
+       products of embedded MRD codes; see _split_gain);
     D: smallest K with (Q - V_rho)^K < Q^{K-1}, Q = q^{mn} (a random code of
        that size leaves some vector uncovered with probability < 1);
     E: floor((Q/V_rho)(1 + ln V_rho)) (Johnston-Stein-Lovasz applied to the
-       coverage incidence matrix)."""
+       coverage incidence matrix).  Needs n <= m (covering_report's order)."""
     _check_rho(q, n, rho)
-    Q = q ** (m * n)
+    if n > m:
+        raise ValueError(f"need n <= m, got n={n} > m={m}")
     _, V_rho = ball_counts(q, m, n, rho)
-    gain = _gain_row(m, n)[rho]
     return {
         "A": q ** (m * (n - rho)),
         "B": q ** (max(m - rho, n) * (n - rho)),
-        "C": None if gain is None else q ** (m * (n - rho) - gain),
+        "C": q ** (m * (n - rho) - _split_gain(m, n, rho)),
         "D": _probabilistic_bound(q, m, n, V_rho),
         "E": _jsl_bound(q, m, n, V_rho),
     }
 
 
-@functools.cache
-def _gain_row(m, n):
-    """Row n of one DP over (length, radius) for every rho: used_r = 0..n ->
-    the best gain max sum rho_i (n_i - rho_i) over the feasible splits of
-    (n, used_r), None where no split exists.  Parts are unordered so
-    compositions and partitions coincide.  A row reads only the rows above
-    it, so each (m, row) is built once, and only up to the n asked for."""
-    if n == 0:
-        return (0,)
-    best = [_gain_row(m, used_n) for used_n in range(n)]
-    return tuple([max(
-        (best[n - a][used_r - r] + r * (a - r)
-         for a in range(1, n + 1)
-         for r in range(max(0, used_r - n + a), min(a, used_r, m - a) + 1)
-         if best[n - a][used_r - r] is not None), default=None)
-        for used_r in range(n + 1)])
+def _split_gain(m, n, rho):
+    """max sum rho_i (n_i - rho_i) over the splits n = sum n_i, rho =
+    sum rho_i with rho_i <= n_i and n_i + rho_i <= m, for n <= m; None
+    where no split exists, which is only at m = 1 (else rho parts (1, 1)).
+
+    Merging parts (n_i, rho_i) and (n_j, rho_j) changes the gain by
+    rho_i (n_j - rho_j) + rho_j (n_i - rho_i) >= 0, and the merged part
+    stays feasible while (n_i + rho_i) + (n_j + rho_j) <= m.  Once no two
+    parts can merge, k parts have a total S of n_i + rho_i above k m / 2,
+    and S = n + rho <= 2m, so k <= 3.  For fixed radii each n_i runs from
+    rho_i to m - rho_i: the spare length n - rho goes to the largest
+    radius first, and any remainder to parts of radius 0.  O(rho^2)."""
+
+    def gain(radii):
+        spare, total = n - rho, 0
+        for r in radii:
+            extra = min(spare, m - 2 * r)
+            spare, total = spare - extra, total + r * extra
+        return total
+    return max((gain((r1, r2, rho - r1 - r2))
+                for r1 in range(-(-rho // 3), min(rho, m // 2) + 1)
+                for r2 in range((rho - r1 + 1) // 2, min(r1, rho - r1) + 1)),
+               default=None)
+
+
+def _ln(x, prec):
+    """(N, e) with N 2^e <= ln x <= (N + 1) 2^e from one logarithm
+    rounded down at prec bits, N shifted to exactly prec bits (N = 0 for
+    x = 1).  mpf_log rounds one fixed-point value, down or up, so its
+    rounding up is never above N + 1 units of 2^e."""
+    _, man, exp, bc = mpf_log(from_int(x), prec, FLOOR)
+    return int(man) << prec - bc, exp - prec + bc
 
 
 def _t_floors(Q, W, prec):
     """Floors of the certified ends of t = lnQ/(lnQ - lnW); None if inf."""
-    (q_lo, q_hi), (w_lo, w_hi) = (
-        [mpf_log(from_int(x), prec, r) for r in (FLOOR, CEIL)] for x in (Q, W))
-    lo = mpf_div(q_lo, mpf_sub(q_hi, w_lo, prec, CEIL), prec, FLOOR)
-    den = mpf_sub(q_lo, w_hi, prec, FLOOR)
-    hi = mpf_div(q_hi, den, prec, CEIL) if mpf_sign(den) > 0 else None
-    return to_int(lo, FLOOR), None if hi is None else to_int(hi, FLOOR)
+    (nq, eq), (nw, ew) = _ln(Q, prec), _ln(W, prec)
+    e = min(eq, ew)
+    q_lo, q_hi = nq << eq - e, nq + 1 << eq - e
+    w_lo, w_hi = nw << ew - e, nw + 1 << ew - e
+    den = q_lo - w_hi
+    return q_lo // (q_hi - w_lo), q_hi // den if den > 0 else None
 
 
 def _probabilistic_bound(q, m, n, V, prec=None):
@@ -216,10 +230,11 @@ def _jsl_bound(q, m, n, V, prec=None):
     default); ln V is transcendental for V > 1, so the doubling ends."""
     Q = q ** (m * n)
     prec = prec or Q.bit_length() + 64
-    Q, V = from_int(Q), from_int(V)
     while True:
-        lo, hi = (to_int(mpf_div(mpf_mul(Q, mpf_add(fone, mpf_log(
-            V, prec, r), prec, r)), V, prec, r), FLOOR) for r in (FLOOR, CEIL))
+        N, e = _ln(V, prec)
+        s = max(-e, 0)
+        lo, hi = (Q * ((1 << s) + (k << e + s)) // (V << s)
+                  for k in (N, N + 1))
         if lo == hi:
             return lo
         prec *= 2

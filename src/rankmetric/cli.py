@@ -10,10 +10,11 @@ Ranges are written "2..7" (inclusive).  Every command returns an
 once the command has returned, so a command that fails leaves stdout
 empty.  Lines may be any iterable (``els --list`` text is a generator made
 past every guard), and ``main`` lifts Python's 4300-digit int/str limit
-while a command runs.  Machine formats (csv, json) echo the fully resolved
-run configuration: CSV output starts with a versioned comment line
-``# rankmetric-table v1 config: ...`` and JSON output carries a ``config``
-object.  Plain text output stays minimal for human use.
+while a command runs.  A reader that closes the pipe early (``| head``)
+ends the output without an error.  Machine formats (csv, json) echo the
+fully resolved run configuration: CSV output starts with a versioned
+comment line ``# rankmetric-table v1 config: ...`` and JSON output carries
+a ``config`` object.  Plain text output stays minimal for human use.
 
 Exit codes: 0 success, 1 usage or input error, 2 verification failure,
 3 inconclusive (a search or scan gave up at its budget).
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Iterable, NamedTuple
 
@@ -66,6 +68,7 @@ def emit(args, answer):
     else:
         for line in answer.lines:
             print(line)
+    sys.stdout.flush()   # a closed pipe raises here, not at exit
 
 
 def parse_range(text):
@@ -648,6 +651,13 @@ def main(argv=None):
     except oc.InconclusiveSearch as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader stopped early (`| head`), which is not an error; the
+        # rest of the output goes to devnull, so the final flush is quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return answer.status
     except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

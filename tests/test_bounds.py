@@ -11,6 +11,7 @@ inconsistently.
 import ast
 import itertools
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -250,20 +251,21 @@ def test_jsl_bound_against_high_precision_floor():
 def test_jsl_bound_doubles_a_straddling_precision(monkeypatch, q, m, n, rho):
     # at the start precision the interval never straddles an integer on
     # the tables' grids, so the doubling only runs from a start of 3 bits;
-    # each precision takes ln V twice, rounded down and up
+    # each precision takes ln V once, rounded down
     _, v = ball_counts(q, m, n, rho)
     Q = q ** (m * n)
     want = _mp_floor(lambda: mp.mpf(Q) / v * (1 + mp.log(v)))
     tried, log = [], bd.mpf_log
 
     def recorded(x, prec, rnd):
-        tried.append(prec)
+        tried.append((prec, rnd))
         return log(x, prec, rnd)
     monkeypatch.setattr(bd, "mpf_log", recorded)
     assert bd._jsl_bound(q, m, n, v, prec=3) == want
-    assert tried[::2] == tried[1::2]
-    assert tried[::2][:2] == [3, 6]
-    assert tried[::2] == [3 * 2 ** i for i in range(len(tried) // 2)]
+    precs = [prec for prec, _ in tried]
+    assert precs[:2] == [3, 6]
+    assert precs == [3 * 2 ** i for i in range(len(tried))]
+    assert {rnd for _, rnd in tried} == {libmp.round_floor}
 
 
 @pytest.mark.parametrize("q,m,n,rho", [(2, 10, 9, 3), (2, 16, 16, 8)])
@@ -353,48 +355,66 @@ def test_mixed_bound_against_split_enumeration():
                     best = cand
         return best
 
-    for m in range(2, 6):
-        for n in range(1, 6):
+    for m in range(1, 8):
+        for n in range(1, m + 1):
             for rho in range(0, n + 1):
-                assert bd._gain_row(m, n)[rho] \
+                assert bd._split_gain(m, n, rho) \
                     == brute_gain(m, n, rho), (m, n, rho)
 
 
-def test_split_gains_one_dp_per_m():
-    # a DP row reads only the rows above it, so the cached rows of one m
-    # answer every n, in any order of asking, as a DP to n alone does
-    def gains_alone(m, n):
-        best = [[-1] * (n + 1) for _ in range(n + 1)]
-        best[0][0] = 0
-        for used_n in range(1, n + 1):
-            for used_r in range(used_n + 1):
-                best[used_n][used_r] = max(
-                    (best[used_n - a][used_r - r] + r * (a - r)
-                     for a in range(1, used_n + 1)
-                     for r in range(min(a, used_r, m - a) + 1)
-                     if best[used_n - a][used_r - r] >= 0), default=-1)
-        return tuple(None if g < 0 else g for g in best[n])
+def _split_dp(m, n):
+    # the O(n^4) DP over (length, radius) that the at-most-three-parts
+    # maximum replaced: rows[n'][rho] for every n' <= n under capacity m
+    best = [[-1] * (n + 1) for _ in range(n + 1)]
+    best[0][0] = 0
+    for used_n in range(1, n + 1):
+        for used_r in range(used_n + 1):
+            best[used_n][used_r] = max(
+                (best[used_n - a][used_r - r] + r * (a - r)
+                 for a in range(1, used_n + 1)
+                 for r in range(min(a, used_r, m - a) + 1)
+                 if best[used_n - a][used_r - r] >= 0), default=-1)
+    return [tuple(None if g < 0 else g for g in row) for row in best]
 
-    bd._gain_row.cache_clear()
-    for m in range(1, 21):
-        for n in [3, 1, m, m + 4, 2, m + 2]:
-            assert bd._gain_row(m, n) == gains_alone(m, n), (m, n)
-    # each (m, row) pair is built once: rows 0..m for every m in 2..24
-    bd._gain_row.cache_clear()
-    for m in range(2, 25):
-        for n in range(2, m + 1):
-            bd._gain_row(m, n)
-    assert bd._gain_row.cache_info().misses == sum(
-        m + 1 for m in range(2, 25))
+
+def test_split_gains_one_dp_per_m():
+    # one DP to n = m answers every n <= m, and the at-most-three-parts
+    # maximum equals it on every n <= m <= 24, 1 <= rho <= n
+    for m in range(1, 25):
+        rows = _split_dp(m, m)
+        for n in range(1, m + 1):
+            for rho in range(1, n + 1):
+                assert bd._split_gain(m, n, rho) == rows[n][rho], (m, n, rho)
 
 
 def test_split_gains_grows_only_to_the_n_asked():
-    # a narrow n under a large m costs what a DP to n alone costs
-    bd._gain_row.cache_clear()
-    bd._gain_row(60, 3)
-    assert bd._gain_row.cache_info().misses == 4
-    bd._gain_row(60, 5)
-    assert bd._gain_row.cache_info().misses == 6
+    # a narrow n under a large m: the maximum equals a DP to n alone,
+    # whose work grows with n and not with m
+    for m in (40, 60, 200):
+        for n in (1, 2, 3, 5, 8):
+            row = _split_dp(m, n)[n]
+            assert tuple(bd._split_gain(m, n, rho)
+                         for rho in range(1, n + 1)) == row[1:], (m, n)
+
+
+@pytest.mark.parametrize("prec", [3, 8, 53, 200])
+def test_ln_brackets_the_logarithm(prec):
+    # N 2^e <= ln x <= (N + 1) 2^e against plain mpmath at 4 prec + 64
+    # bits, on 1, powers of 2 and 3 and seeded integers up to 2^400
+    rng = random.Random(prec)
+    xs = ([1] + [2 ** k for k in (1, 2, 7, 64, 400)]
+          + [3 ** k for k in (1, 5, 40, 250)]
+          + [rng.randrange(2, 2 ** rng.randrange(2, 401)) for _ in range(40)])
+    es = []
+    with mp.workprec(4 * prec + 64):
+        for x in xs:
+            N, e = bd._ln(x, prec)
+            unit = mp.ldexp(1, e)
+            assert N * unit <= mp.log(x) <= (N + 1) * unit, (x, prec)
+            assert x == 1 or N.bit_length() == prec
+            es.append(e)
+    # ln 2^400 ~ 277 has 9 bits, so e > 0 at 3 and 8 bits
+    assert (max(es) > 0) == (prec <= 8)
 
 
 # ---------------------------------------------------------------------------

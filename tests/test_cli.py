@@ -712,3 +712,30 @@ def test_exact_integers_past_the_str_digit_limit(run):
                        "--m", "15000")
     assert (rc, out, err) == (0, f"A = (1, {whole})\nB = (1, 0)\n", "")
     assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("argv,head", [
+    ("els --q 2 --n 7 --v 3 --list", b"dim 3: 11811 subspaces\n"),
+    ("els --q 2 --n 7 --v 3 --list --format json", b'{"bases"'),
+    ("bounds --q 2 --m 3 --n 3 --rho 1", b"")])
+def test_reader_closing_the_pipe_early_is_not_an_error(argv, head):
+    # `els ... --list | head -n 1` once printed "error: [Errno 32] Broken
+    # pipe" and exited 1.  The ~0.6 MB listings overfill the pipe, so the
+    # writer is still writing when the reader closes it after the first
+    # line (of the JSON form, which is one line, after its first bytes);
+    # the short bounds answer sits in stdout's buffer until after the
+    # reader has gone
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rankmetric.cli", *argv.split()],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        first = proc.stdout.read(len(head))
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0, err
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert (first, err) == (head, b"")
